@@ -1,9 +1,9 @@
-// Sketch-based connectivity & MST: round complexity and local-kernel
+// Sketch-based connectivity: round complexity and local-kernel
 // throughput.
 //
-// Paper claim (Section 1.3 / [51]): connectivity and MST run in
-// Õ(n/k²) rounds using linear graph sketches — *independent of m* —
-// against the Ω̃(n/k²) General Lower Bound and the trivial Õ(n/k)
+// Paper claim (Section 1.3 / [51]): connectivity runs in Õ(n/k²)
+// rounds using linear graph sketches — *independent of m* — against
+// the Ω̃(n/k²) General Lower Bound and the trivial Õ(n/k)
 // centralization baseline.  This bench prints measured rounds for the
 // sketch algorithm next to the baseline over the k-grid (the fitted
 // slopes land around -1.3 vs -0.85 at bench scale — n=1024, k up to
@@ -48,7 +48,7 @@ void BM_SketchConnectivityRounds(benchmark::State& state) {
   for (auto _ : state) {
     Engine engine(k, {.bandwidth_bits = kBandwidth, .seed = 19});
     const auto part = VertexPartition::by_hash(n, k, 42);
-    const auto res = sketch_connectivity(g, part, engine, {.seed = 23});
+    const auto res = sketch_connectivity(g, part, engine, 23);
     metrics = res.metrics;
     phases = res.phases;
   }
@@ -91,7 +91,7 @@ void BM_DensitySeries(benchmark::State& state) {
   for (auto _ : state) {
     Engine engine(k, {.bandwidth_bits = kBandwidth, .seed = 5});
     const auto part = VertexPartition::by_hash(n, k, 42);
-    sketch = sketch_connectivity(g, part, engine, {.seed = 29}).metrics;
+    sketch = sketch_connectivity(g, part, engine, 29).metrics;
     Engine engine2(k, {.bandwidth_bits = kBandwidth, .seed = 5});
     base = centralized_connectivity_baseline(g, part, engine2).metrics;
   }
@@ -106,28 +106,6 @@ void BM_DensitySeries(benchmark::State& state) {
         static_cast<double>(base.rounds));
 }
 BENCHMARK(BM_DensitySeries)->Arg(8)->Arg(30)->Arg(120)
-    ->Iterations(1)->Unit(benchmark::kMillisecond);
-
-void BM_SketchMstRounds(benchmark::State& state) {
-  const auto k = static_cast<std::size_t>(state.range(0));
-  constexpr std::size_t n = 256;
-  static const WeightedGraph g = [] {
-    Rng rng(910);
-    return WeightedGraph::randomize_weights(gnp(n, 8.0 / n, rng), 1u << 16,
-                                            rng);
-  }();
-  Metrics metrics;
-  for (auto _ : state) {
-    Engine engine(k, {.bandwidth_bits = kBandwidth, .seed = 21});
-    const auto part = VertexPartition::by_hash(n, k, 42);
-    metrics = sketch_mst(g, part, engine, {.seed = 31}).metrics;
-  }
-  state.counters["rounds"] = static_cast<double>(metrics.rounds);
-  bench::SeriesTable::instance().add("mst/sketch-threshold (rounds)",
-                                     static_cast<double>(k),
-                                     static_cast<double>(metrics.rounds));
-}
-BENCHMARK(BM_SketchMstRounds)->Arg(4)->Arg(8)->Arg(16)
     ->Iterations(1)->Unit(benchmark::kMillisecond);
 
 // ---- Local kernels: the per-phase CPU cost of the sketch machinery ----

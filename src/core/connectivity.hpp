@@ -1,4 +1,4 @@
-// Sketch-based connectivity and MST in the k-machine model: the paper's
+// Sketch-based connectivity in the k-machine model: the paper's
 // Õ(n/k²)-round upper bound (Section 1.3, the algorithm of [51] built on
 // AGM linear graph sketches), plus the trivial Õ(n/k) centralized
 // baseline the round-bounds harness measures it against.
@@ -43,30 +43,8 @@
 // Õ(n/k) sketch bits spread cell-by-cell over all k links — Õ(n/k²)
 // per link, hence Õ(n/k²) rounds per phase at B = polylog(n), against
 // Ω̃(n/k²) from the paper's General Lower Bound Theorem.
-// tests/test_round_bounds.cpp pins the measured exponent.  Two further
-// knobs trade constants: sketch rows start at
-// SketchConnectivityConfig::rows and auto-size against the observed
-// sample-failure rate (the piggybacked statistics make every machine
-// see identical totals, so shapes stay agreed), and batch_local_phases
-// contracts every machine-local component with a zero-communication
-// union-find before phase 0 — batching all purely local Borůvka phases
-// into one superstep.
-//
-// sketch_mst() extends this to exact MST: each phase, every active
-// component finds its true minimum outgoing edge under the total key
-// order (weight, endpoints) — the same tie-break order as the Kruskal
-// reference, so the result is the unique MSF edge for edge set — by an
-// s-ary threshold search (s = threshold_arity).  Per refinement step
-// the proxy splits its key interval [lo, hi] into s near-equal
-// subintervals; home machines send s-1 cells of each hosted component's
-// incidence vector *restricted to keys <= split_j*, and the leftmost
-// nonzero prefix cell (exact whp, by fingerprint) names the subinterval
-// holding the MOE — log_s instead of log_2 interval refinements, each a
-// two-superstep up/down exchange with per-link-batched messages.  Once
-// the interval pins the MOE key, the restricted vector is exactly
-// 1-sparse and the cell recovers the edge deterministically.  Hooking
-// then contracts only MOE edges, so every emitted edge is in the MSF by
-// the cut property, and the emitted set is exactly Kruskal's.
+// tests/test_round_bounds.cpp pins the measured exponent and the
+// crossover against the baseline at one dense cell.
 //
 // centralized_connectivity_baseline() is the Õ(n/k) strawman: every
 // machine ships its local edges to machine 0, which union-finds and
@@ -77,59 +55,16 @@
 
 #include "core/mst.hpp"
 #include "graph/graph.hpp"
-#include "graph/weighted.hpp"
 #include "sim/engine.hpp"
 #include "sim/partition.hpp"
 
 namespace km {
 
-/// Knobs for the sketch algorithms; defaults follow the paper's
-/// parameterization (polylog-bit sketches, O(log n) phase budget).
-struct SketchConnectivityConfig {
-  std::uint64_t seed = 0x5ce7c4;  ///< drives sketch hashes, coins, proxies
-  std::uint32_t rows = 2;         ///< initial ℓ₀ samplers per sketch
-  /// Hard phase cap (a failed convergence throws); 0 = 4*ceil_log2(n)+16,
-  /// generous against the O(log n) whp bound.
-  std::size_t max_phases = 0;
-  /// Auto-size rows between phases from the globally-observed sample
-  /// failure rate: >= 1/4 failures grows rows (to max_rows), <= 1/16
-  /// shrinks them (to min_rows).  Every machine sees the same
-  /// piggybacked totals, so the adapted shape stays agreed without any
-  /// extra superstep.
-  bool adapt_rows = true;
-  std::uint32_t min_rows = 2;  ///< adaptation floor
-  std::uint32_t max_rows = 6;  ///< adaptation cap
-  /// Proxy assignment: home-machine rank mod k (balanced — per-phase
-  /// proxied label counts differ by at most one, spreading the census,
-  /// candidate, and root-push load) instead of a hashed assignment
-  /// with a sqrt-sized tail.  Sketch bits themselves are balanced
-  /// separately, cell-by-cell, whichever flavor is picked here.
-  bool balanced_proxies = true;
-  /// Contract every machine-local component with a zero-communication
-  /// union-find before phase 0 (connectivity only): all Borůvka phases
-  /// whose merges stay inside one machine collapse into superstep zero.
-  /// Off by default: the measured round grids pin the pure per-phase
-  /// protocol, and local contraction helps small k far more than large
-  /// k (a k-dependent head start that flattens the fitted exponent).
-  bool batch_local_phases = false;
-  /// Arity s of the MST threshold search: each refinement sends s-1
-  /// prefix cells and divides the key interval by s, so the interval
-  /// pins after log_s(max_key) two-superstep exchanges instead of
-  /// log_2.  Must be >= 2.
-  std::uint32_t threshold_arity = 4;
-};
-
 /// Sketch-based connectivity; labels are component-consistent vertex ids.
+/// `seed` drives the sketch hashes and the cell-to-holder assignment.
 DistributedComponentsResult sketch_connectivity(
     const Graph& g, const VertexPartition& partition, Engine& engine,
-    const SketchConnectivityConfig& config = {});
-
-/// Exact MST via per-component threshold search over linear sketches.
-/// Produces the unique MSF under mst_edge_less (identical to Kruskal).
-DistributedMstResult sketch_mst(const WeightedGraph& g,
-                                const VertexPartition& partition,
-                                Engine& engine,
-                                const SketchConnectivityConfig& config = {});
+    std::uint64_t seed);
 
 /// The Õ(n/k) baseline: centralize all edges at machine 0, union-find,
 /// scatter labels.  Exists to give test_round_bounds and bench_sketch

@@ -387,22 +387,6 @@ std::uint64_t FingerprintPowers::pow(std::uint64_t exp) const noexcept {
   return r;
 }
 
-void FingerprintPowers::pow_batch(const std::uint64_t* exps,
-                                  std::uint64_t* out,
-                                  std::size_t n) const noexcept {
-  // Four independent pow chains per iteration: the widening multiplies
-  // of distinct exponents have no data dependence, so the out-of-order
-  // core overlaps them.
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    out[i] = pow(exps[i]);
-    out[i + 1] = pow(exps[i + 1]);
-    out[i + 2] = pow(exps[i + 2]);
-    out[i + 3] = pow(exps[i + 3]);
-  }
-  for (; i < n; ++i) out[i] = pow(exps[i]);
-}
-
 const FingerprintPowers& fingerprint_powers(std::uint64_t z,
                                             std::uint32_t max_exp_bits) {
   // A tiny thread-local memo: within a Borůvka phase every sketch shares

@@ -111,10 +111,6 @@ class FingerprintPowers {
   /// built for.
   std::uint64_t pow(std::uint64_t exp) const noexcept;
 
-  /// Batched pow over an exponent stream (the MOE key precompute).
-  void pow_batch(const std::uint64_t* exps, std::uint64_t* out,
-                 std::size_t n) const noexcept;
-
  private:
   std::uint64_t z_ = 1;
   std::uint32_t digits_ = 1;

@@ -48,8 +48,8 @@ std::uint64_t sketch_fingerprint_base(std::uint64_t seed) noexcept {
 // id_sum wraps mod 2^64 by design (linearity over Z/2^64); keep clang's
 // opt-in -fsanitize=integer from flagging the intentional wrap.
 KM_NO_SANITIZE("unsigned-integer-overflow")
-void SketchCell::add_prepared(std::uint64_t id, int sign,
-                              std::uint64_t z_pow_id) noexcept {
+void SketchCell::add(std::uint64_t id, int sign, std::uint64_t z) noexcept {
+  const std::uint64_t z_pow_id = powmod61(z, id);
   if (sign > 0) {
     count += 1;
     id_sum += id;

@@ -18,8 +18,7 @@
 //    the underlying vector really is 1-sparse; the fingerprint rejects
 //    everything else with error ≤ 64/2⁶¹ per check.  Also an exact
 //    emptiness test whp (a nonzero vector fingerprints to 0 with
-//    probability ≤ support·64/2⁶¹).  sketch_mst's threshold search uses
-//    bare cells.
+//    probability ≤ support·64/2⁶¹).
 //  - L0Sketch: rows × levels cells, level ℓ subsampling ids nested with
 //    probability 2^-ℓ (trailing zeros of a seeded hash).  sample() scans
 //    for a verified 1-sparse cell, giving a uniformly-ish random element
@@ -109,13 +108,7 @@ struct SketchCell {
   std::uint64_t fingerprint = 0;  ///< sum of sign * z^id mod 2^61-1
 
   /// Adds sign (±1) at `id`, with z the sketch's fingerprint base.
-  void add(std::uint64_t id, int sign, std::uint64_t z) noexcept {
-    add_prepared(id, sign, powmod61(z, id));
-  }
-  /// Same, with z^id precomputed by the caller (hot loops precompute it
-  /// once per edge per phase).
-  void add_prepared(std::uint64_t id, int sign,
-                    std::uint64_t z_pow_id) noexcept;
+  void add(std::uint64_t id, int sign, std::uint64_t z) noexcept;
   void merge(const SketchCell& other) noexcept;
 
   /// True iff every component is zero: the sketched vector is empty whp
@@ -228,8 +221,8 @@ class L0Sketch {
 };
 
 /// Fingerprint base shared by every cell derived from `seed`: uniform in
-/// [2, p-1].  sketch_mst's bare cells and L0Sketch both use this, so a
-/// cell built by one side verifies against the other.
+/// [2, p-1].  L0Sketch uses it, and connectivity's holders pass it to
+/// SketchCell::recover when they verify a folded cell.
 std::uint64_t sketch_fingerprint_base(std::uint64_t seed) noexcept;
 
 }  // namespace km

@@ -4,6 +4,8 @@
 #include <stdexcept>
 
 #include "graph/properties.hpp"
+#include "util/options.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 
 namespace km {
@@ -112,6 +114,18 @@ RunResult run_workload(const Workload& workload, const Dataset& dataset,
   RunResult result = workload.run(engine, dataset, resolved);
   result.trace = engine.trace_session();
   return result;
+}
+
+std::size_t frame_bytes_flag(const Options& opts) {
+  const std::string text = opts.get_string("frame-bytes", "auto");
+  if (text == "auto") return kFramedPayloadAuto;
+  std::uint64_t value = 0;
+  if (!parse_strict_uint(text, value)) {
+    throw OptionsError(
+        "flag --frame-bytes expects 'auto' or a non-negative integer, got '" +
+        text + "'");
+  }
+  return static_cast<std::size_t>(value);
 }
 
 }  // namespace km

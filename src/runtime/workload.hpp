@@ -26,6 +26,8 @@
 
 namespace km {
 
+class Options;
+
 /// Knobs shared by every workload run.
 struct RunParams {
   std::size_t k = 8;  ///< number of machines
@@ -58,6 +60,12 @@ struct RunParams {
   /// golden snapshots never see it.
   std::size_t workers = 0;
 };
+
+/// The `--frame-bytes` value of a km_run / km_serve command line:
+/// "auto" (also the default when the flag is absent) gives
+/// kFramedPayloadAuto, and anything else must be a non-negative integer.
+/// Throws OptionsError naming the flag otherwise.
+std::size_t frame_bytes_flag(const Options& opts);
 
 /// Outcome of the sequential-reference verification.
 struct CheckResult {

@@ -1,25 +1,13 @@
 // Workload adapters for the sketch-based algorithms in
-// core/connectivity.hpp: sketch connectivity (Õ(n/k²) rounds), the
-// centralized Õ(n/k) baseline it is measured against, and exact MST via
-// per-component threshold search over linear sketches.  Checks run the
-// sequential references: BFS components for the connectivity pair,
-// Kruskal for the MST (which must match edge for edge — the sketch key
-// order is exactly mst_edge_less).
-#include <string>
-
+// core/connectivity.hpp: sketch connectivity (Õ(n/k²) rounds) and the
+// centralized Õ(n/k) baseline it is measured against.  Both check
+// against the sequential BFS components.
 #include "core/connectivity.hpp"
-#include "graph/weighted.hpp"
 #include "runtime/workload.hpp"
 #include "util/rng.hpp"
 
 namespace km {
 namespace {
-
-SketchConnectivityConfig sketch_config_for(const RunParams& params) {
-  SketchConnectivityConfig config;
-  config.seed = mix64(params.seed, 0x5ce7'c401ULL);
-  return config;
-}
 
 // ---- Sketch connectivity ----
 
@@ -37,7 +25,7 @@ class ConnectivityWorkload final : public Workload {
     const auto partition =
         runtime_partition(dataset.n, params.k, params.seed);
     const auto dist = sketch_connectivity(dataset.graph, partition, engine,
-                                          sketch_config_for(params));
+                                          mix64(params.seed, 0x5ce7'c401ULL));
     RunResult result = make_result(dataset, params, dist.metrics);
     result.add_output("num_components", std::uint64_t{dist.num_components});
     result.add_output("phases", std::uint64_t{dist.phases});
@@ -77,48 +65,10 @@ class ConnectivityBaselineWorkload final : public Workload {
   }
 };
 
-// ---- Sketch MST ----
-
-class MstSketchWorkload final : public Workload {
- public:
-  std::string_view name() const override { return "mst_sketch"; }
-  std::string_view description() const override {
-    return "exact MST via sketch threshold search over exponentially "
-           "refined weight keys; checked against Kruskal";
-  }
-  DatasetKind input_kind() const override { return DatasetKind::kWeighted; }
-
-  RunResult run(Engine& engine, const Dataset& dataset,
-                const RunParams& params) const override {
-    const auto partition =
-        runtime_partition(dataset.n, params.k, params.seed);
-    const auto dist = sketch_mst(dataset.weighted, partition, engine,
-                                 sketch_config_for(params));
-    RunResult result = make_result(dataset, params, dist.metrics);
-    result.add_output("total_weight", dist.total_weight);
-    result.add_output("mst_edges", std::uint64_t{dist.edges.size()});
-    result.add_output("phases", std::uint64_t{dist.phases});
-    if (params.check) {
-      const MstResult ref = kruskal_mst(dataset.weighted);
-      result.check.performed = true;
-      result.check.ok =
-          dist.total_weight == ref.total_weight && dist.edges == ref.edges;
-      result.check.detail =
-          "sketch weight " + std::to_string(dist.total_weight) +
-          " vs Kruskal " + std::to_string(ref.total_weight) + ", " +
-          std::to_string(dist.edges.size()) + "/" +
-          std::to_string(ref.edges.size()) + " edges match";
-    }
-    return result;
-  }
-};
-
 const WorkloadRegistrar connectivity_registrar{
     std::make_unique<ConnectivityWorkload>()};
 const WorkloadRegistrar connectivity_baseline_registrar{
     std::make_unique<ConnectivityBaselineWorkload>()};
-const WorkloadRegistrar mst_sketch_registrar{
-    std::make_unique<MstSketchWorkload>()};
 
 }  // namespace
 }  // namespace km

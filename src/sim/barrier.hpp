@@ -20,16 +20,18 @@
 //    once per episode.  Work that used to be O(k^2) on one thread folds
 //    up the tree in O(arity * k) pieces.
 //  - Release is sense-reversing: a single global sense word flips once
-//    per episode (release store + notify_all); parked participants block
-//    on std::atomic::wait (a futex on Linux — no spinning, no mutex
-//    reacquisition stampede) until the sense matches their local sense.
+//    per episode (release store + notify_all), and a parked participant
+//    is released once the sense matches its local sense.  Schedulers
+//    with nothing else to run block on the sense word through
+//    std::atomic::wait (a futex on Linux — no spinning, no mutex
+//    reacquisition stampede).
 //
 // Memory ordering: every arrival fetch_add is acq_rel, so the last
 // arriver of a node happens-after all its children's arrivals, and by
 // induction the root's finalize happens-after *every* participant's
 // arrival (this is what lets the engine read all machines' counters and
 // buckets without a lock).  The sense flip is a release store observed
-// with acquire loads, so after arrive() returns, every participant
+// with acquire loads, so once released(who) holds, every participant
 // happens-after finalize — the delivery phase can read any machine's
 // buckets race-free.  The ABA hazard of sense reversal is excluded by
 // the barrier itself: the sense cannot flip twice until every
@@ -83,44 +85,28 @@ class TreeBarrier {
     return {nodes_[node].child_begin, nodes_[node].child_end};
   }
 
-  /// Arrive at the barrier as participant `who` and block until all
-  /// participants of this episode have arrived and the root finalizer
-  /// ran.  On the folding path, `combine(node, leaf, child_begin,
-  /// child_end)` is invoked exactly once per node per episode (on the
-  /// node's last arriver, children quiescent); `finalize() -> bool` is
-  /// invoked exactly once per episode on the root's last arriver, and
-  /// its result (the stop decision) is returned to *every* participant.
-  /// Neither hook may throw.  Both hooks run holding fold_phase (the
-  /// phantom capability below), so hook bodies annotated
-  /// KM_REQUIRES(fold_phase) are machine-checked against the state that
-  /// only folders may touch.
-  template <typename Combine, typename Finalize>
-  bool arrive(std::size_t who, Combine&& combine, Finalize&& finalize) {
-    if (arrive_begin(who, combine, finalize) == ArriveOutcome::kParked) {
-      // Thread-granular rendezvous: park this OS thread until the root
-      // flips the sense.
-      const std::uint32_t my_sense = local_[who].value;
-      std::uint32_t seen;
-      while ((seen = sense_.load(std::memory_order_acquire)) != my_sense) {
-        sense_.wait(seen, std::memory_order_acquire);
-      }
-    }
-    return stop_.load(std::memory_order_relaxed) != 0;
-  }
-
   /// What arrive_begin() left the participant doing.
   enum class ArriveOutcome {
     kParked,    ///< not released yet: poll released(who) before resuming
     kReleased,  ///< this participant ran finalize; the episode is over
   };
 
-  /// The non-blocking half of arrive(), for machine-granular schedulers
-  /// (sim/executor.hpp): identical arrival/fold/finalize protocol, but a
-  /// participant that is not the last arriver of its node returns
-  /// kParked immediately instead of futex-waiting, so the worker thread
-  /// can run another machine.  The caller resumes the participant once
-  /// released(who) holds and then reads the stop decision from
-  /// stop_flag().  Hook contract is the same as arrive()'s.
+  /// Arrive at the barrier as participant `who`.  On the folding path,
+  /// `combine(node, leaf, child_begin, child_end)` is invoked exactly
+  /// once per node per episode (on the node's last arriver, children
+  /// quiescent); `finalize() -> bool` is invoked exactly once per episode
+  /// on the root's last arriver, and its result is the stop decision
+  /// every participant reads from stop_flag().  Neither hook may throw.
+  /// Both hooks run holding fold_phase (the phantom capability below),
+  /// so hook bodies annotated KM_REQUIRES(fold_phase) are
+  /// machine-checked against the state that only folders may touch.
+  ///
+  /// Never blocks: a participant that is not the last arriver of its
+  /// node returns kParked at once, so a machine-granular scheduler
+  /// (sim/executor.hpp) can run another machine on the same worker.
+  /// The caller resumes the participant once released(who) holds — a
+  /// worker with nothing else to run sleeps through sense_word() and
+  /// wait_sense() — and then reads stop_flag().
   template <typename Combine, typename Finalize>
   ArriveOutcome arrive_begin(std::size_t who, Combine&& combine,
                              Finalize&& finalize) {
@@ -187,8 +173,9 @@ class TreeBarrier {
     sense_.wait(seen, std::memory_order_acquire);
   }
 
-  /// Re-arms the barrier for a fresh run.  Callable only while no thread
-  /// is inside arrive() (the engine calls it before spawning machines).
+  /// Re-arms the barrier for a fresh run.  Callable only while no
+  /// participant is mid-episode (the engine calls it before spawning
+  /// machines).
   void reset() noexcept;
 
   /// Capability standing for "exclusive fold-phase access": held by the

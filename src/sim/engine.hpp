@@ -135,8 +135,9 @@ struct EngineConfig {
   /// value, to prove it).
   std::size_t framed_payload_max_bytes = kFramedPayloadAuto;
   /// OS threads the executor multiplexes the k machine fibers over; 0
-  /// means hardware concurrency, and the effective count is clamped to
-  /// [1, k].  Pure execution policy: results are byte-identical at every
+  /// means hardware concurrency.  The executor uses at most this many,
+  /// and every worker owns at least one machine (sim/executor.hpp).
+  /// Pure execution policy: results are byte-identical at every
   /// setting (like `trace`, it is deliberately absent from serialized
   /// run parameters).
   std::size_t workers = 0;

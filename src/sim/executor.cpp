@@ -34,6 +34,10 @@ Executor::Executor(std::size_t machines, std::size_t workers,
   if (machines == 0) machines = 1;
   workers_ = workers < machines ? workers : machines;
   block_ = (machines + workers_ - 1) / workers_;
+  // ceil(k / W)-sized blocks can cover k in fewer than W workers (k = 5,
+  // W = 4 gives blocks of 2: three suffice); drop the workers that would
+  // own nothing, so every worker owns at least one machine.
+  workers_ = (machines + block_ - 1) / block_;
   machines_.reserve(machines);
   for (std::size_t i = 0; i < machines; ++i) {
     machines_.emplace_back(fiber_stack_bytes);

@@ -65,8 +65,11 @@ class Executor {
   /// rethrown from run() (first one wins).
   using MachineMain = std::function<void(std::size_t machine)>;
 
-  /// `workers == 0` means hardware concurrency; the effective count is
-  /// clamped to [1, machines] and reported by worker_count().
+  /// `workers == 0` means hardware concurrency.  The effective count,
+  /// reported by worker_count(), is at most `workers` and at most
+  /// `machines`, and every worker owns at least one machine: the block
+  /// size is ceil(machines / workers), and workers whose block would be
+  /// empty are dropped.
   Executor(std::size_t machines, std::size_t workers,
            std::size_t fiber_stack_bytes, IdleHooks idle);
 

@@ -61,6 +61,24 @@ TEST(TreeBarrier, TopologyCoversEveryParticipantExactlyOnce) {
   }
 }
 
+/// One participant's full rendezvous through the split protocol, as the
+/// engine's idle workers run it: arrive_begin(), then, if parked, sample
+/// the sense word, recheck released(who) and wait_sense() on the sample
+/// until the root's flip lands.  Returns the episode's stop decision.
+template <typename Combine, typename Finalize>
+bool arrive_and_wait(TreeBarrier& barrier, std::size_t who,
+                     Combine&& combine, Finalize&& finalize) {
+  if (barrier.arrive_begin(who, combine, finalize) ==
+      TreeBarrier::ArriveOutcome::kParked) {
+    while (true) {
+      const std::uint32_t seen = barrier.sense_word();
+      if (barrier.released(who)) break;
+      barrier.wait_sense(seen);
+    }
+  }
+  return barrier.stop_flag();
+}
+
 TEST(TreeBarrier, FoldsEachNodeOnceAndFinalizesOncePerEpisode) {
   for (const std::size_t n : {1u, 2u, 5u, 16u, 64u}) {
     SCOPED_TRACE("n=" + std::to_string(n));
@@ -79,8 +97,8 @@ TEST(TreeBarrier, FoldsEachNodeOnceAndFinalizesOncePerEpisode) {
           for (int ep = 0; ep < kEpisodes; ++ep) {
             std::this_thread::sleep_for(
                 std::chrono::microseconds(jitter.below(150)));
-            const bool stop = barrier.arrive(
-                who,
+            const bool stop = arrive_and_wait(
+                barrier, who,
                 [&](std::size_t node, bool, std::size_t, std::size_t) {
                   folds[node].fetch_add(1);
                 },
@@ -117,7 +135,7 @@ TEST(TreeBarrier, ResetRearmsAfterStop) {
       std::vector<std::jthread> threads;
       for (std::size_t who = 0; who < 3; ++who) {
         threads.emplace_back([&, who] {
-          if (barrier.arrive(who, no_fold, [] { return true; })) {
+          if (arrive_and_wait(barrier, who, no_fold, [] { return true; })) {
             stops.fetch_add(1);
           }
         });

@@ -19,7 +19,9 @@
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "sim/executor.hpp"
@@ -152,28 +154,41 @@ TEST(ExecutorPool, WorkerCountResolvesAndClamps) {
   EXPECT_EQ(single.worker_count(), 2u);
 }
 
+/// (k, W) shapes for the pool tests.  In the last three, ceil(k / W)-
+/// sized blocks cover k before the W-th worker, so fewer workers run.
+constexpr std::pair<std::size_t, std::size_t> kPoolShapes[] = {
+    {10, 3}, {32, 1}, {32, 2}, {32, 5}, {32, 32}, {5, 4}, {7, 6}, {12, 5}};
+
 TEST(ExecutorPool, BlockAssignmentIsContiguousAndMonotone) {
-  const Executor ex(10, 3, 0, IdleHooks{});
-  EXPECT_EQ(ex.worker_of(0), 0u);
-  std::size_t prev = 0;
-  for (std::size_t m = 0; m < ex.machine_count(); ++m) {
-    const std::size_t w = ex.worker_of(m);
-    EXPECT_LT(w, ex.worker_count());
-    EXPECT_GE(w, prev);  // never jumps backwards: contiguous blocks
-    prev = w;
+  for (const auto& [machines, workers] : kPoolShapes) {
+    SCOPED_TRACE("k=" + std::to_string(machines) +
+                 " W=" + std::to_string(workers));
+    const Executor ex(machines, workers, 0, IdleHooks{});
+    EXPECT_LE(ex.worker_count(), workers);
+    EXPECT_EQ(ex.worker_of(0), 0u);
+    std::vector<std::size_t> owned(ex.worker_count(), 0);
+    std::size_t prev = 0;
+    for (std::size_t m = 0; m < ex.machine_count(); ++m) {
+      const std::size_t w = ex.worker_of(m);
+      ASSERT_LT(w, ex.worker_count());
+      EXPECT_GE(w, prev);  // never jumps backwards: contiguous blocks
+      prev = w;
+      ++owned[w];
+    }
+    for (std::size_t w = 0; w < owned.size(); ++w) {
+      EXPECT_GE(owned[w], 1u) << "worker " << w << " owns no machine";
+    }
   }
-  EXPECT_EQ(prev, ex.worker_count() - 1);  // every worker owns machines
 }
 
 TEST(ExecutorPool, EveryMachineRunsExactlyOnceAtAnyWorkerCount) {
-  constexpr std::size_t kMachines = 32;
-  for (const std::size_t workers : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{5}, kMachines}) {
-    std::vector<std::atomic<int>> runs(kMachines);
-    Executor ex(kMachines, workers, 0, IdleHooks{});
+  for (const auto& [machines, workers] : kPoolShapes) {
+    std::vector<std::atomic<int>> runs(machines);
+    Executor ex(machines, workers, 0, IdleHooks{});
     ex.run([&](std::size_t m) { runs[m].fetch_add(1); });
-    for (std::size_t m = 0; m < kMachines; ++m) {
-      EXPECT_EQ(runs[m].load(), 1) << "machine " << m << " at W=" << workers;
+    for (std::size_t m = 0; m < machines; ++m) {
+      EXPECT_EQ(runs[m].load(), 1)
+          << "machine " << m << " at k=" << machines << " W=" << workers;
     }
   }
 }

@@ -39,7 +39,6 @@ const std::map<std::string, std::string>& golden_datasets() {
       {"connectivity", "gnp:n=64,p=0.05"},
       {"connectivity_baseline", "gnp:n=64,p=0.05"},
       {"mst", "gnp:n=64,p=0.08,maxw=1000"},
-      {"mst_sketch", "gnp:n=48,p=0.08,maxw=1000"},
       {"pagerank", "gnp:n=64,p=0.05"},
       {"pagerank_baseline", "gnp:n=64,p=0.05"},
       {"sort", "keys:n=512"},

@@ -18,7 +18,11 @@
 // pre-aggregation regression (per-vertex sketch shipping, Θ(n/k) per
 // link) demonstrably violates.  The cleanest finite-scale separation
 // is edge-density independence: sketch rounds are a function of n (up
-// to the log-factor below), baseline rounds scale with m.
+// to the log-factor below), baseline rounds scale with m.  Next to the
+// fitted exponents, one dense cell pins the crossover itself: the
+// sketch algorithm must lose to the baseline at small k and win at a
+// larger k, so its advantage is shown at a concrete (n, m, k), not only
+// through a slope.
 //
 // All runs are deterministic (fixed seeds, hash-based randomness), so
 // every asserted number is stable across platforms and schedulers.
@@ -109,6 +113,20 @@ TEST(RoundBounds, SketchBeatsBaselineExponentBySeparatedMargin) {
   EXPECT_LE(sketch, baseline - 0.3)
       << "the paper's k^-2 vs k^-1 separation collapsed: sketch " << sketch
       << " vs baseline " << baseline;
+}
+
+TEST(RoundBounds, SketchCrossesBelowBaselineAtPinnedDenseCell) {
+  // m ≈ 26k edges on n = 1024.  Measured at B = 512, seed 3: k = 16
+  // gives 160 sketch vs 195 baseline rounds, k = 4 gives 904 vs 595.
+  // The sketch's per-link load shrinks by k² against the baseline's k,
+  // so its polylog(n) sketch size only pays off once k is large enough.
+  const std::string dense = "gnp:n=1024,p=0.05";
+  EXPECT_LT(measured_rounds("connectivity", dense, 16),
+            measured_rounds("connectivity_baseline", dense, 16))
+      << "sketch connectivity no longer beats the baseline at k = 16";
+  EXPECT_GT(measured_rounds("connectivity", dense, 4),
+            measured_rounds("connectivity_baseline", dense, 4))
+      << "sketch wins at k = 4 too: re-pin the crossover cell";
 }
 
 TEST(RoundBounds, RoundsGrowRoughlyLinearlyInN) {

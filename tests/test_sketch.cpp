@@ -9,9 +9,8 @@
 //   - merge-order invariance: for a fixed seed the folded sketch (and
 //     hence the sampled edge) is identical whatever order the parts
 //     were merged in, including through serialization.
-// Distributed: sketch connectivity against BFS and sketch MST against
-// Kruskal across every generator family on a k × seed grid (the
-// acceptance grid for ISSUE 5).
+// Distributed: sketch connectivity and the centralized baseline against
+// BFS across every generator family and several k.
 #include "core/sketch.hpp"
 
 #include <gtest/gtest.h>
@@ -24,7 +23,6 @@
 #include "core/connectivity.hpp"
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
-#include "graph/weighted.hpp"
 #include "runtime/dataset.hpp"
 #include "runtime/workload.hpp"
 #include "util/rng.hpp"
@@ -382,20 +380,6 @@ const char* const kFamilySpecs[] = {
     "complete:n=24,maxw=512",
 };
 
-TEST(SketchKm, MstSketchMatchesKruskalOnEveryFamilyAcrossKAndSeeds) {
-  for (const char* spec : kFamilySpecs) {
-    for (const std::size_t k : {4u, 8u, 16u}) {
-      for (const std::uint64_t seed : {1ull, 2ull}) {
-        const RunResult result = run_registered("mst_sketch", spec, k, seed);
-        ASSERT_TRUE(result.check.performed);
-        EXPECT_TRUE(result.check.ok)
-            << spec << " k=" << k << " seed=" << seed << ": "
-            << result.check.detail;
-      }
-    }
-  }
-}
-
 TEST(SketchKm, ConnectivityMatchesBfsOnEveryFamilyAcrossK) {
   for (const char* spec : kFamilySpecs) {
     for (const std::size_t k : {4u, 8u, 16u}) {
@@ -411,15 +395,10 @@ TEST(SketchKm, ConnectivityMatchesBfsOnEveryFamilyAcrossK) {
 }
 
 TEST(SketchKm, HandlesEdgelessAndDisconnectedInputs) {
-  // Edgeless graph: every vertex is its own component, MSF is empty.
+  // Edgeless graph: every vertex is its own component.
   {
     const RunResult r =
         run_registered("connectivity", "gnp:n=40,p=0", 4, 1);
-    EXPECT_TRUE(r.check.ok) << r.check.detail;
-  }
-  {
-    const RunResult r =
-        run_registered("mst_sketch", "gnp:n=40,p=0,maxw=16", 4, 1);
     EXPECT_TRUE(r.check.ok) << r.check.detail;
   }
   // Forest of two far-apart cliques via direct core API.
@@ -434,19 +413,10 @@ TEST(SketchKm, HandlesEdgelessAndDisconnectedInputs) {
   const Graph g = Graph::from_edges(30, std::move(edges));
   Engine engine(4, {.bandwidth_bits = 256, .seed = 2});
   const auto part = VertexPartition::by_hash(30, 4, 99);
-  const auto dist = sketch_connectivity(g, part, engine, {.seed = 31});
+  const auto dist = sketch_connectivity(g, part, engine, 31);
   // 2 cliques + 18 isolated vertices.
   EXPECT_EQ(dist.num_components, 20u);
   EXPECT_TRUE(same_labeling(dist.labels, connected_components(g)));
-}
-
-TEST(SketchKm, SketchMstRejectsOversizedWeights) {
-  // Weights past the 63-bit key budget must throw, not corrupt keys.
-  std::vector<WeightedEdge> edges{{0, 1, std::uint64_t{1} << 62}};
-  const auto g = WeightedGraph::from_edges(4, std::move(edges));
-  Engine engine(2, {.bandwidth_bits = 256, .seed = 2});
-  const auto part = VertexPartition::by_hash(4, 2, 7);
-  EXPECT_THROW(sketch_mst(g, part, engine), std::invalid_argument);
 }
 
 }  // namespace

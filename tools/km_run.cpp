@@ -132,8 +132,7 @@ RunParams params_from(const Options& opts, std::uint64_t k, std::uint64_t B) {
   params.k = static_cast<std::size_t>(k);
   params.bandwidth_bits = B;
   params.seed = opts.get_uint("seed", 1);
-  params.frame_bytes = static_cast<std::size_t>(
-      opts.get_uint("frame-bytes", kFramedPayloadAuto));
+  params.frame_bytes = frame_bytes_flag(opts);
   params.record_timeline = opts.get_bool("timeline", true);
   params.check = opts.get_bool("check", true);
   params.workers = static_cast<std::size_t>(opts.get_uint("workers", 0));

@@ -38,6 +38,7 @@
 #include <string>
 
 #include "runtime/dataset.hpp"
+#include "runtime/workload.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
@@ -157,12 +158,11 @@ int cmd_request(const Options& opts) {
   w.field("k", opts.get_uint("k", 8));
   w.field("bandwidth", opts.get_uint("B", 0));
   w.field("seed", opts.get_uint("seed", 1));
-  const std::uint64_t frame = opts.get_uint(
-      "frame-bytes", static_cast<std::uint64_t>(kFramedPayloadAuto));
-  if (frame == static_cast<std::uint64_t>(kFramedPayloadAuto)) {
+  const std::size_t frame = frame_bytes_flag(opts);
+  if (frame == kFramedPayloadAuto) {
     w.field("frame", "auto");
   } else {
-    w.field("frame", frame);
+    w.field("frame", std::uint64_t{frame});
   }
   w.field("workers", opts.get_uint("workers", 0));
   w.field("check", opts.get_bool("check", true));
