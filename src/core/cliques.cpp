@@ -80,7 +80,7 @@ struct LocalEdges {
 template <typename Accept, typename Out>
 void enumerate_local_k4(const LocalEdges& edges, Accept accept, Out out) {
   std::vector<Vertex> common;
-  for (const auto& [a, ns] : edges.adj) {
+  detail::for_sorted(edges.adj, [&](Vertex a, const std::vector<Vertex>& ns) {
     for (Vertex b : ns) {
       if (b <= a) continue;
       const auto itb = edges.adj.find(b);
@@ -110,7 +110,7 @@ void enumerate_local_k4(const LocalEdges& edges, Accept accept, Out out) {
         }
       }
     }
-  }
+  });
 }
 
 /// Same designation rule as triangles.cpp: the low-degree side of a

@@ -65,23 +65,16 @@ DistributedComponentsResult sketch_connectivity(const Graph& g,
   DistributedComponentsResult result;
   result.labels.assign(n, 0);
 
-  // rank_of[v] = v's index in its home machine's owned list: the home's
-  // slot for v's per-vertex state, and the proxy key.  Balanced proxies
-  // (rank mod k) spread machine m's hosted labels over proxies in
+  // part.rank(v) = v's index in its home machine's owned list: the
+  // home's slot for v's per-vertex state, and the proxy key.  Balanced
+  // proxies (rank mod k) spread machine m's hosted labels over proxies in
   // lockstep — at phase 0 (labels = owned vertices) every (machine,
   // proxy) link carries exactly floor/ceil(|owned|/k) sketches, where a
   // hashed assignment pays a binomial tail of ~1.8x the mean on some
   // link.  The partition is shared knowledge, so every host of a label
   // computes the same proxy without communication.
-  std::vector<std::uint32_t> rank_of(n, 0);
-  for (std::size_t m = 0; m < k; ++m) {
-    const auto& owned = part.owned(m);
-    for (std::size_t i = 0; i < owned.size(); ++i) {
-      rank_of[owned[i]] = static_cast<std::uint32_t>(i);
-    }
-  }
   const auto proxy_of = [&](std::uint32_t label) {
-    return static_cast<std::size_t>(rank_of[label] % k);
+    return static_cast<std::size_t>(part.rank(label) % k);
   };
 
   const Program program = [&](MachineContext& ctx) {
@@ -317,7 +310,7 @@ DistributedComponentsResult sketch_connectivity(const Graph& g,
         for (const Vertex v : detail::sorted_keys(query)) {
           const std::size_t home = part.home(v);
           if (home == self) {
-            vertex_label[v] = frag[rank_of[v]];
+            vertex_label[v] = frag[part.rank(v)];
           } else {
             asked[home].push_back(v);
             outbox[home].put_varint(v);
@@ -330,7 +323,7 @@ DistributedComponentsResult sketch_connectivity(const Graph& g,
         Writer& w = outbox[msg.src];
         while (!r.done()) {
           const auto v = static_cast<Vertex>(r.get_varint());
-          w.put_varint(frag[rank_of[v]]);
+          w.put_varint(frag[part.rank(v)]);
         }
       }
       flush(kLabelReplyTag);

@@ -8,6 +8,12 @@
 // the sanctioned replacement.  Both cost O(size log size) per call —
 // fine for the per-phase, per-label maps the kernels keep, which is
 // where the rule bites.
+//
+// Where the keys are dense local ids, a sorted vector or an array
+// indexed by the id is cheaper still and deterministic by construction.
+// PageRank and the Borůvka driver behind mst/components work that way
+// (per-run local indexes built from the graph and the partition) and no
+// longer use these helpers; connectivity, triangles and cliques still do.
 #pragma once
 
 #include <algorithm>

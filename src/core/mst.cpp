@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <unordered_map>
-#include <unordered_set>
 
-#include "core/detail/sorted.hpp"
 #include "util/hash.hpp"
 #include "util/mathx.hpp"
 
@@ -21,6 +18,12 @@ constexpr std::uint16_t kJumpQueryTag = 4;  // (queried_frag, asking_frag)
 constexpr std::uint16_t kJumpReplyTag = 5;  // (asking_frag, new_ptr)
 constexpr std::uint16_t kRootQueryTag = 6;  // (frag)
 constexpr std::uint16_t kRootReplyTag = 7;  // (frag, root)
+
+/// No label received for a neighbor this phase (fragment ids are vertex
+/// ids, so never this value).
+constexpr std::uint32_t kNoFrag = 0xFFFFFFFF;
+/// An owned vertex with no neighbor on its own machine has no ghost slot.
+constexpr std::uint32_t kNoSlot = 0xFFFFFFFF;
 
 struct Candidate {
   bool valid = false;
@@ -80,65 +83,124 @@ DistributedMstResult run_boruvka(const WeightedGraph& g,
   const Program program = [&](MachineContext& ctx) {
     const std::size_t self = ctx.id();
     const auto& owned = part.owned(self);
+
+    // Dense local indexes, fixed for the run: ghost = the sorted
+    // distinct neighbors of the owned vertices; arc_ghost = each arc's
+    // ghost slot (owned[i]'s arcs are [arc_begin[i], arc_begin[i + 1]));
+    // targets = each owned vertex's sorted distinct remote neighbor
+    // machines; own_ghost[i] = owned[i]'s ghost slot when a neighbor of
+    // it is hosted here, kNoSlot otherwise.
+    std::vector<Vertex> ghost;
+    std::vector<std::size_t> arc_begin{0};
+    for (const Vertex v : owned) {
+      const auto ns = g.neighbors(v);
+      ghost.insert(ghost.end(), ns.begin(), ns.end());
+      arc_begin.push_back(ghost.size());
+    }
+    std::sort(ghost.begin(), ghost.end());
+    ghost.erase(std::unique(ghost.begin(), ghost.end()), ghost.end());
+    const auto ghost_slot = [&](Vertex v) {
+      const auto it = std::lower_bound(ghost.begin(), ghost.end(), v);
+      if (it == ghost.end() || *it != v) {
+        throw std::logic_error("mst: label for a vertex with no neighbor here");
+      }
+      return static_cast<std::uint32_t>(it - ghost.begin());
+    };
+    std::vector<std::uint32_t> arc_ghost;
+    arc_ghost.reserve(arc_begin.back());
+    std::vector<std::uint32_t> own_ghost(owned.size(), kNoSlot);
+    std::vector<std::uint32_t> targets;
+    std::vector<std::size_t> target_begin{0};
+    for (std::size_t i = 0; i < owned.size(); ++i) {
+      bool local = false;
+      for (const Vertex u : g.neighbors(owned[i])) {
+        arc_ghost.push_back(ghost_slot(u));
+        const std::uint32_t m = part.home(u);
+        if (m == self) {
+          local = true;
+        } else {
+          targets.push_back(m);
+        }
+      }
+      if (local) own_ghost[i] = ghost_slot(owned[i]);
+      const auto first = targets.begin() +
+                         static_cast<std::ptrdiff_t>(target_begin.back());
+      std::sort(first, targets.end());
+      targets.erase(std::unique(first, targets.end()), targets.end());
+      target_begin.push_back(targets.size());
+    }
+
     // frag[i] = fragment (root vertex id) of owned[i].
     std::vector<std::uint32_t> frag(owned.size());
     for (std::size_t i = 0; i < owned.size(); ++i) frag[i] = owned[i];
+    std::vector<std::uint32_t> nbr_frag(ghost.size());
+    Writer label;
     std::size_t phase = 0;
     while (phase < max_phases) {
       ++phase;
 
       // ---- Step A: push fragment labels to neighbors' machines. ----
-      std::unordered_map<Vertex, std::uint32_t> nbr_frag;
-      {
-        std::vector<bool> target(k);
-        for (std::size_t i = 0; i < owned.size(); ++i) {
-          const Vertex v = owned[i];
-          std::fill(target.begin(), target.end(), false);
-          for (Vertex u : g.neighbors(v)) target[part.home(u)] = true;
-          Writer w;
-          w.put_varint(v);
-          w.put_varint(frag[i]);
-          const auto payload = w.take();
-          for (std::size_t m = 0; m < k; ++m) {
-            if (!target[m]) continue;
-            if (m == self) {
-              nbr_frag[v] = frag[i];
-            } else {
-              ctx.send(m, kFragPushTag, std::vector<std::byte>(payload));
-            }
-          }
+      std::fill(nbr_frag.begin(), nbr_frag.end(), kNoFrag);
+      for (std::size_t i = 0; i < owned.size(); ++i) {
+        if (own_ghost[i] != kNoSlot) nbr_frag[own_ghost[i]] = frag[i];
+        label.clear();
+        label.put_varint(owned[i]);
+        label.put_varint(frag[i]);
+        for (std::size_t t = target_begin[i]; t < target_begin[i + 1]; ++t) {
+          ctx.send(targets[t], kFragPushTag, label.view());
         }
       }
       for (const Message& msg : ctx.exchange()) {
         Reader r(msg.payload);
         const auto v = static_cast<Vertex>(r.get_varint());
-        nbr_frag[v] = static_cast<std::uint32_t>(r.get_varint());
+        nbr_frag[ghost_slot(v)] = static_cast<std::uint32_t>(r.get_varint());
       }
 
       // ---- Step B: local MOE per fragment -> fragment proxies. ----
-      std::unordered_map<std::uint32_t, Candidate> local_best;
+      // frags = the sorted distinct fragments of the owned vertices
+      // (fixed until Step D relabels), frag_slot[i] = frag[i]'s index.
+      std::vector<std::uint32_t> frags(frag);
+      std::sort(frags.begin(), frags.end());
+      frags.erase(std::unique(frags.begin(), frags.end()), frags.end());
+      std::vector<std::uint32_t> frag_slot(owned.size());
+      for (std::size_t i = 0; i < owned.size(); ++i) {
+        frag_slot[i] = static_cast<std::uint32_t>(
+            std::lower_bound(frags.begin(), frags.end(), frag[i]) -
+            frags.begin());
+      }
+      std::vector<Candidate> local_best(frags.size());
       for (std::size_t i = 0; i < owned.size(); ++i) {
         const Vertex v = owned[i];
         const auto ns = g.neighbors(v);
         const auto ws = g.weights(v);
         for (std::size_t j = 0; j < ns.size(); ++j) {
-          const auto it = nbr_frag.find(ns[j]);
-          if (it == nbr_frag.end()) {
+          const std::uint32_t other = nbr_frag[arc_ghost[arc_begin[i] + j]];
+          if (other == kNoFrag) {
             throw std::logic_error("mst: missing neighbor fragment");
           }
-          if (it->second == frag[i]) continue;  // internal edge
-          local_best[frag[i]].offer(
+          if (other == frag[i]) continue;  // internal edge
+          local_best[frag_slot[i]].offer(
               WeightedEdge{std::min(v, ns[j]), std::max(v, ns[j]), ws[j]},
-              it->second);
+              other);
         }
       }
-      std::unordered_map<std::uint32_t, FragState> proxy_state;
-      for (const std::uint32_t f : detail::sorted_keys(local_best)) {
-        const Candidate& cand = local_best.at(f);
+      // proxy_state: the fragments this machine is proxy for, sorted by
+      // id.  The global MOE is a minimum under a total order, so it does
+      // not depend on the order the candidates arrive in.
+      std::vector<std::pair<std::uint32_t, FragState>> proxy_state;
+      const auto add_candidate = [&](std::uint32_t f, const WeightedEdge& e,
+                                     std::uint32_t other) {
+        FragState st;
+        st.moe.offer(e, other);
+        proxy_state.emplace_back(f, st);
+      };
+      for (std::size_t c = 0; c < frags.size(); ++c) {
+        const Candidate& cand = local_best[c];
+        if (!cand.valid) continue;
+        const std::uint32_t f = frags[c];
         const std::size_t proxy = proxy_of(f);
         if (proxy == self) {
-          auto& st = proxy_state[f];
-          st.moe.offer(cand.edge, cand.other_frag);
+          add_candidate(f, cand.edge, cand.other_frag);
         } else {
           Writer w;
           w.put_varint(f);
@@ -151,9 +213,32 @@ DistributedMstResult run_boruvka(const WeightedGraph& g,
         Reader r(msg.payload);
         const auto f = static_cast<std::uint32_t>(r.get_varint());
         const WeightedEdge e = get_edge(r);
-        const auto other = static_cast<std::uint32_t>(r.get_varint());
-        proxy_state[f].moe.offer(e, other);
+        add_candidate(f, e, static_cast<std::uint32_t>(r.get_varint()));
       }
+      // By fragment, then MOE first; keep each fragment's first entry.
+      std::sort(proxy_state.begin(), proxy_state.end(),
+                [](const auto& a, const auto& b) {
+                  return a.first != b.first
+                             ? a.first < b.first
+                             : mst_edge_less(a.second.moe.edge,
+                                             b.second.moe.edge);
+                });
+      proxy_state.erase(
+          std::unique(proxy_state.begin(), proxy_state.end(),
+                      [](const auto& a, const auto& b) {
+                        return a.first == b.first;
+                      }),
+          proxy_state.end());
+      // The tracked state of fragment f, or null when f is finished.
+      const auto find_state = [&](std::uint32_t f) -> FragState* {
+        const auto it = std::lower_bound(
+            proxy_state.begin(), proxy_state.end(), f,
+            [](const auto& entry, std::uint32_t key) {
+              return entry.first < key;
+            });
+        return (it == proxy_state.end() || it->first != f) ? nullptr
+                                                           : &it->second;
+      };
 
       // ---- Step C: break mutual-MOE 2-cycles, pick roots. ----
       // Every tracked fragment tells its parent's proxy about its MOE;
@@ -166,8 +251,7 @@ DistributedMstResult run_boruvka(const WeightedGraph& g,
       // pair minimum becomes the root via the min rule during pointer
       // jumping below.
       std::vector<std::pair<std::uint32_t, std::uint32_t>> drop_if_mutual;
-      for (const std::uint32_t f : detail::sorted_keys(proxy_state)) {
-        FragState& st = proxy_state.at(f);
+      for (auto& [f, st] : proxy_state) {
         st.ptr = st.moe.other_frag;
         st.record = true;
         const std::size_t target = proxy_of(st.moe.other_frag);
@@ -183,16 +267,15 @@ DistributedMstResult run_boruvka(const WeightedGraph& g,
       }
       auto apply_mutual = [&](std::uint32_t gf, std::uint32_t from,
                               const WeightedEdge& e) {
-        const auto it = proxy_state.find(gf);
-        if (it == proxy_state.end()) return;  // finished fragment
-        auto& st = it->second;
-        if (st.moe.valid && st.moe.other_frag == from && st.moe.edge == e &&
-            gf > from) {
-          st.record = false;  // duplicate (larger) half of a mutual pair
+        FragState* st = find_state(gf);
+        if (st == nullptr) return;  // finished fragment
+        if (st->moe.valid && st->moe.other_frag == from &&
+            st->moe.edge == e && gf > from) {
+          st->record = false;  // duplicate (larger) half of a mutual pair
         }
       };
       for (const auto& [gf, from] : drop_if_mutual) {
-        apply_mutual(gf, from, proxy_state.at(from).moe.edge);
+        apply_mutual(gf, from, find_state(from)->moe.edge);
       }
       for (const Message& msg : ctx.exchange()) {
         Reader r(msg.payload);
@@ -206,8 +289,7 @@ DistributedMstResult run_boruvka(const WeightedGraph& g,
       // pair minimum, which thereby becomes the root.
       for (std::size_t jump = 0; jump < jump_iters; ++jump) {
         bool changed = false;
-        for (const std::uint32_t f : detail::sorted_keys(proxy_state)) {
-          const FragState& st = proxy_state.at(f);
+        for (const auto& [f, st] : proxy_state) {
           const std::size_t target = proxy_of(st.ptr);
           if (target == self) continue;  // resolved locally below
           Writer w;
@@ -218,17 +300,18 @@ DistributedMstResult run_boruvka(const WeightedGraph& g,
         // Answer queries: ptr[g], with the 2-cycle min rule.
         auto answer = [&](std::uint32_t g,
                           std::uint32_t asking) -> std::uint32_t {
-          const auto it = proxy_state.find(g);
-          if (it == proxy_state.end()) return g;  // finished: g is a root
-          const std::uint32_t next = it->second.ptr;
+          const FragState* st = find_state(g);
+          if (st == nullptr) return g;  // finished: g is a root
+          const std::uint32_t next = st->ptr;
           if (next == asking) return std::min(g, asking);  // 2-cycle
           return next;
         };
-        std::vector<std::pair<std::uint32_t, std::uint32_t>> local_updates;
-        for (const std::uint32_t f : detail::sorted_keys(proxy_state)) {
-          const FragState& st = proxy_state.at(f);
+        // (index into proxy_state, new ptr)
+        std::vector<std::pair<std::size_t, std::uint32_t>> local_updates;
+        for (std::size_t c = 0; c < proxy_state.size(); ++c) {
+          const auto& [f, st] = proxy_state[c];
           if (proxy_of(st.ptr) != self) continue;
-          local_updates.emplace_back(f, answer(st.ptr, f));
+          local_updates.emplace_back(c, answer(st.ptr, f));
         }
         for (const Message& msg : ctx.exchange()) {
           Reader r(msg.payload);
@@ -243,12 +326,17 @@ DistributedMstResult run_boruvka(const WeightedGraph& g,
           Reader r(msg.payload);
           const auto f = static_cast<std::uint32_t>(r.get_varint());
           const auto next = static_cast<std::uint32_t>(r.get_varint());
-          changed |= (proxy_state[f].ptr != next);
-          proxy_state[f].ptr = next;
+          FragState* st = find_state(f);
+          if (st == nullptr) {
+            throw std::logic_error("mst: jump reply for an untracked fragment");
+          }
+          changed |= (st->ptr != next);
+          st->ptr = next;
         }
-        for (const auto& [f, next] : local_updates) {
-          changed |= (proxy_state[f].ptr != next);
-          proxy_state[f].ptr = next;
+        for (const auto& [c, next] : local_updates) {
+          FragState& st = proxy_state[c].second;
+          changed |= (st.ptr != next);
+          st.ptr = next;
         }
         // Chains are typically short; stop jumping as soon as every
         // pointer is stable everywhere (one tiny collective per jump).
@@ -257,8 +345,7 @@ DistributedMstResult run_boruvka(const WeightedGraph& g,
 
       // ---- Emit this phase's MST edges at the proxies. ----
       std::uint64_t added_here = 0;
-      for (const std::uint32_t f : detail::sorted_keys(proxy_state)) {
-        const FragState& st = proxy_state.at(f);
+      for (const auto& [f, st] : proxy_state) {
         if (st.record && st.moe.valid) {
           emitted[self].push_back(st.moe.edge);
           ++added_here;
@@ -266,14 +353,16 @@ DistributedMstResult run_boruvka(const WeightedGraph& g,
       }
 
       // ---- Step D: home machines learn their vertices' new roots. ----
-      std::unordered_set<std::uint32_t> distinct_frags(frag.begin(),
-                                                       frag.end());
-      std::unordered_map<std::uint32_t, std::uint32_t> root_of;
-      for (const std::uint32_t f : detail::sorted_keys(distinct_frags)) {
+      const auto root_at_proxy = [&](std::uint32_t f) {
+        const FragState* st = find_state(f);
+        return st == nullptr ? f : st->ptr;
+      };
+      std::vector<std::uint32_t> root_of(frags.size());
+      for (std::size_t c = 0; c < frags.size(); ++c) {
+        const std::uint32_t f = frags[c];
         const std::size_t proxy = proxy_of(f);
         if (proxy == self) {
-          const auto it = proxy_state.find(f);
-          root_of[f] = (it == proxy_state.end()) ? f : it->second.ptr;
+          root_of[c] = root_at_proxy(f);
         } else {
           Writer w;
           w.put_varint(f);
@@ -283,18 +372,24 @@ DistributedMstResult run_boruvka(const WeightedGraph& g,
       for (const Message& msg : ctx.exchange()) {
         Reader r(msg.payload);
         const auto f = static_cast<std::uint32_t>(r.get_varint());
-        const auto it = proxy_state.find(f);
         Writer w;
         w.put_varint(f);
-        w.put_varint(it == proxy_state.end() ? f : it->second.ptr);
+        w.put_varint(root_at_proxy(f));
         ctx.send(msg.src, kRootReplyTag, w);
       }
       for (const Message& msg : ctx.exchange()) {
         Reader r(msg.payload);
         const auto f = static_cast<std::uint32_t>(r.get_varint());
-        root_of[f] = static_cast<std::uint32_t>(r.get_varint());
+        const auto it = std::lower_bound(frags.begin(), frags.end(), f);
+        if (it == frags.end() || *it != f) {
+          throw std::logic_error("mst: root reply for an unknown fragment");
+        }
+        root_of[static_cast<std::size_t>(it - frags.begin())] =
+            static_cast<std::uint32_t>(r.get_varint());
       }
-      for (auto& f : frag) f = root_of.at(f);
+      for (std::size_t i = 0; i < owned.size(); ++i) {
+        frag[i] = root_of[frag_slot[i]];
+      }
 
       // ---- Termination: no fragment found an outgoing edge. ----
       if (ctx.all_reduce_sum(added_here) == 0) break;
@@ -342,9 +437,10 @@ DistributedComponentsResult distributed_components(
   result.labels = std::move(mst.fragment_of);
   result.phases = mst.phases;
   result.metrics = mst.metrics;
-  std::unordered_set<std::uint32_t> distinct(result.labels.begin(),
-                                             result.labels.end());
-  result.num_components = g.num_vertices() == 0 ? 0 : distinct.size();
+  std::vector<std::uint32_t> distinct(result.labels);
+  std::sort(distinct.begin(), distinct.end());
+  result.num_components = static_cast<std::size_t>(
+      std::unique(distinct.begin(), distinct.end()) - distinct.begin());
   return result;
 }
 

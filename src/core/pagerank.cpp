@@ -1,10 +1,10 @@
 #include "core/pagerank.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
-#include <unordered_map>
 
-#include "core/detail/sorted.hpp"
 #include "util/mathx.hpp"
 
 namespace km {
@@ -14,42 +14,69 @@ namespace {
 constexpr std::uint16_t kLightTag = 1;  ///< <count, dest:v>
 constexpr std::uint16_t kHeavyTag = 2;  ///< <count, src:u>
 
+/// For every vertex u with an out-neighbor hosted on this machine, those
+/// out-neighbors as owned-list slots (Algorithm 1, lines 33-35), built
+/// once per run from the in-arcs of the owned vertices.  A row ascends
+/// by vertex id, exactly like out_neighbors(u) filtered to this machine.
+class LocalOuts {
+ public:
+  LocalOuts(const Digraph& g, const std::vector<Vertex>& owned) {
+    std::vector<std::uint64_t> arcs;  // (u << 32) | slot of the head
+    for (std::size_t i = 0; i < owned.size(); ++i) {
+      for (const Vertex u : g.in_neighbors(owned[i])) {
+        arcs.push_back(std::uint64_t{u} << 32 | i);
+      }
+    }
+    std::sort(arcs.begin(), arcs.end());
+    slots_.reserve(arcs.size());
+    for (const std::uint64_t arc : arcs) {
+      const auto u = static_cast<Vertex>(arc >> 32);
+      if (sources_.empty() || sources_.back() != u) {
+        sources_.push_back(u);
+        offsets_.push_back(slots_.size());
+      }
+      slots_.push_back(static_cast<std::uint32_t>(arc));
+    }
+    offsets_.push_back(slots_.size());
+  }
+
+  /// Slots of u's locally hosted out-neighbors, ascending; throws when
+  /// this machine hosts none (heavy tokens were misrouted).
+  std::span<const std::uint32_t> of(Vertex u) const {
+    const auto it = std::lower_bound(sources_.begin(), sources_.end(), u);
+    if (it == sources_.end() || *it != u) {
+      throw std::logic_error("pagerank: heavy tokens sent to machine hosting "
+                             "no out-neighbor of the source vertex");
+    }
+    const auto row = static_cast<std::size_t>(it - sources_.begin());
+    return std::span<const std::uint32_t>(slots_).subspan(
+        offsets_[row], offsets_[row + 1] - offsets_[row]);
+  }
+
+ private:
+  std::vector<Vertex> sources_;
+  std::vector<std::size_t> offsets_;  // row r is [offsets_[r], offsets_[r+1])
+  std::vector<std::uint32_t> slots_;
+};
+
 struct MachineState {
-  std::vector<Vertex> owned;          // sorted (VertexPartition invariant)
   std::vector<std::uint64_t> tokens;  // current tokens per owned vertex
   std::vector<std::uint64_t> visits;  // psi per owned vertex
 
-  std::size_t local_index(Vertex v) const {
-    const auto it = std::lower_bound(owned.begin(), owned.end(), v);
-    if (it == owned.end() || *it != v) {
-      throw std::logic_error("pagerank: message for vertex not hosted here");
-    }
-    return static_cast<std::size_t>(it - owned.begin());
+  /// Deposits `count` tokens arriving at owned slot i (visit + hold).
+  void deposit(std::size_t i, std::uint64_t count) {
+    tokens[i] += count;
+    visits[i] += count;
   }
 };
 
-/// Deposits `count` tokens arriving at owned vertex v (visit + hold).
-void deposit(MachineState& st, Vertex v, std::uint64_t count) {
-  const std::size_t i = st.local_index(v);
-  st.tokens[i] += count;
-  st.visits[i] += count;
-}
-
 /// Spreads `count` tokens of remote vertex u uniformly over the locally
 /// hosted out-neighbors of u (Algorithm 1, lines 31-36).
-void spread_heavy(MachineState& st, const Digraph& g,
-                  const VertexPartition& part, std::size_t self, Rng& rng,
+void spread_heavy(MachineState& st, const LocalOuts& local_outs, Rng& rng,
                   Vertex u, std::uint64_t count) {
-  std::vector<Vertex> local_outs;
-  for (Vertex w : g.out_neighbors(u)) {
-    if (part.home(w) == self) local_outs.push_back(w);
-  }
-  if (local_outs.empty()) {
-    throw std::logic_error("pagerank: heavy tokens sent to machine hosting "
-                           "no out-neighbor of the source vertex");
-  }
+  const auto outs = local_outs.of(u);
   for (std::uint64_t i = 0; i < count; ++i) {
-    deposit(st, local_outs[rng.below(local_outs.size())], 1);
+    st.deposit(outs[rng.below(outs.size())], 1);
   }
 }
 
@@ -79,10 +106,26 @@ PageRankResult run_pagerank(const Digraph& g, const VertexPartition& part,
 
   const Program program = [&](MachineContext& ctx) {
     const std::size_t self = ctx.id();
+    const auto& owned = part.owned(self);
+    const LocalOuts local_outs =
+        heavy_path_enabled ? LocalOuts(g, owned) : LocalOuts(g, {});
     MachineState st;
-    st.owned = part.owned(self);
-    st.tokens.assign(st.owned.size(), tokens0);
-    st.visits.assign(st.owned.size(), tokens0);  // creation counts as visit
+    st.tokens.assign(owned.size(), tokens0);
+    st.visits.assign(owned.size(), tokens0);  // creation counts as visit
+
+    // Reused per iteration: the sampled light destinations, the heavy
+    // per-machine counts (all zero between heavy vertices), and the
+    // message encoder.
+    std::vector<Vertex> alpha;
+    std::vector<std::uint64_t> beta(k, 0);
+    Writer w;
+    const auto send_pair = [&](std::size_t machine, std::uint16_t tag,
+                               std::uint64_t a, std::uint64_t b) {
+      w.clear();
+      w.put_varint(a);
+      w.put_varint(b);
+      ctx.send(machine, tag, w.view());
+    };
 
     std::size_t iteration = 0;
     while (iteration < max_iters) {
@@ -94,15 +137,16 @@ PageRankResult run_pagerank(const Digraph& g, const VertexPartition& part,
 
       // Tokens deposited locally this iteration must only become active
       // in the next one; stage them separately.
-      std::vector<std::pair<Vertex, std::uint64_t>> local_light;
+      std::vector<std::pair<std::size_t, std::uint64_t>> local_light;
       std::vector<std::pair<Vertex, std::uint64_t>> local_heavy;
 
-      // alpha: per-destination-vertex counts for light vertices (line 8).
-      std::unordered_map<Vertex, std::uint64_t> alpha;
-      for (std::size_t i = 0; i < st.owned.size(); ++i) {
+      // alpha: per-destination-vertex counts for light vertices (line 8),
+      // as the multiset of sampled destinations.
+      alpha.clear();
+      for (std::size_t i = 0; i < owned.size(); ++i) {
         std::uint64_t t = st.tokens[i];
         if (t == 0) continue;
-        const Vertex u = st.owned[i];
+        const Vertex u = owned[i];
         const auto outs = g.out_neighbors(u);
         if (outs.empty()) {
           st.tokens[i] = 0;  // dangling vertex: walks terminate here
@@ -113,43 +157,42 @@ PageRankResult run_pagerank(const Digraph& g, const VertexPartition& part,
           // Lines 9-16: route each token to a uniform out-neighbor,
           // aggregated per destination vertex.
           for (; t > 0; --t) {
-            const Vertex v = outs[ctx.rng().below(outs.size())];
-            ++alpha[v];
+            alpha.push_back(outs[ctx.rng().below(outs.size())]);
           }
         } else {
           // Lines 18-27: heavy vertex; aggregate per destination machine.
           // Sampling a uniform out-neighbor and binning by its home
           // machine realizes exactly the (n_{1,u}/d_u, ..., n_{k,u}/d_u)
           // distribution of line 23.
-          std::unordered_map<std::uint32_t, std::uint64_t> beta;
           for (; t > 0; --t) {
-            const Vertex v = outs[ctx.rng().below(outs.size())];
-            ++beta[part.home(v)];
+            ++beta[part.home(outs[ctx.rng().below(outs.size())])];
           }
-          for (const std::uint32_t machine : detail::sorted_keys(beta)) {
-            const std::uint64_t count = beta.at(machine);
+          for (std::size_t machine = 0; machine < k; ++machine) {
+            const std::uint64_t count = beta[machine];
+            if (count == 0) continue;
+            beta[machine] = 0;
             if (machine == self) {
               local_heavy.emplace_back(u, count);
             } else {
-              Writer w;
-              w.put_varint(u);
-              w.put_varint(count);
-              ctx.send(machine, kHeavyTag, w);
+              send_pair(machine, kHeavyTag, u, count);
             }
           }
         }
         st.tokens[i] = 0;
       }
-      for (const Vertex v : detail::sorted_keys(alpha)) {
-        const std::uint64_t count = alpha.at(v);
+      // Ascending destinations, one message per distinct one.
+      std::sort(alpha.begin(), alpha.end());
+      for (std::size_t run = 0; run < alpha.size();) {
+        const Vertex v = alpha[run];
+        std::size_t end = run + 1;
+        while (end < alpha.size() && alpha[end] == v) ++end;
+        const std::uint64_t count = end - run;
+        run = end;
         const std::uint32_t machine = part.home(v);
         if (machine == self) {
-          local_light.emplace_back(v, count);
+          local_light.emplace_back(part.rank(v), count);
         } else {
-          Writer w;
-          w.put_varint(v);
-          w.put_varint(count);
-          ctx.send(machine, kLightTag, w);
+          send_pair(machine, kLightTag, v, count);
         }
       }
 
@@ -158,17 +201,21 @@ PageRankResult run_pagerank(const Digraph& g, const VertexPartition& part,
         Reader r(msg.payload);
         if (msg.tag == kLightTag) {
           const auto v = static_cast<Vertex>(r.get_varint());
-          deposit(st, v, r.get_varint());
+          if (v >= n || part.home(v) != self) {
+            throw std::logic_error(
+                "pagerank: message for vertex not hosted here");
+          }
+          st.deposit(part.rank(v), r.get_varint());
         } else if (msg.tag == kHeavyTag) {
           const auto u = static_cast<Vertex>(r.get_varint());
-          spread_heavy(st, g, part, self, ctx.rng(), u, r.get_varint());
+          spread_heavy(st, local_outs, ctx.rng(), u, r.get_varint());
         } else {
           throw std::logic_error("pagerank: unexpected message tag");
         }
       }
-      for (const auto& [v, count] : local_light) deposit(st, v, count);
+      for (const auto& [i, count] : local_light) st.deposit(i, count);
       for (const auto& [u, count] : local_heavy) {
-        spread_heavy(st, g, part, self, ctx.rng(), u, count);
+        spread_heavy(st, local_outs, ctx.rng(), u, count);
       }
 
       // Global termination check (costs one superstep of k-1 small
@@ -186,8 +233,8 @@ PageRankResult run_pagerank(const Digraph& g, const VertexPartition& part,
     // Publish estimates: owned index ranges are disjoint across machines.
     const double denom =
         static_cast<double>(n) * static_cast<double>(tokens0);
-    for (std::size_t i = 0; i < st.owned.size(); ++i) {
-      result.estimates[st.owned[i]] =
+    for (std::size_t i = 0; i < owned.size(); ++i) {
+      result.estimates[owned[i]] =
           config.eps * static_cast<double>(st.visits[i]) / denom;
     }
     iterations_by_machine[self] = iteration;

@@ -83,7 +83,8 @@ struct EdgeSet {
 /// (base edge (a,b) with a<b, apex w > b), filtered by `accept`.
 template <typename Accept, typename Out>
 void enumerate_local_triangles(const EdgeSet& edges, Accept accept, Out out) {
-  for (const auto& [u, ns] : edges.adjacency) {
+  detail::for_sorted(edges.adjacency, [&](Vertex u,
+                                          const std::vector<Vertex>& ns) {
     for (Vertex v : ns) {
       if (v <= u) continue;  // base edge u < v
       const auto itv = edges.adjacency.find(v);
@@ -104,14 +105,15 @@ void enumerate_local_triangles(const EdgeSet& edges, Accept accept, Out out) {
         }
       }
     }
-  }
+  });
 }
 
 /// Enumerates open triads u-v-w (center v, u < w, edge (u,w) absent),
 /// each exactly once, filtered by `accept`.
 template <typename Accept, typename Out>
 void enumerate_local_triads(const EdgeSet& edges, Accept accept, Out out) {
-  for (const auto& [v, ns] : edges.adjacency) {
+  detail::for_sorted(edges.adjacency, [&](Vertex v,
+                                          const std::vector<Vertex>& ns) {
     for (std::size_t i = 0; i < ns.size(); ++i) {
       for (std::size_t j = i + 1; j < ns.size(); ++j) {
         const Vertex u = ns[i], w = ns[j];
@@ -122,7 +124,7 @@ void enumerate_local_triads(const EdgeSet& edges, Accept accept, Out out) {
         }
       }
     }
-  }
+  });
 }
 
 /// True if this machine (not the other endpoint's home) must designate

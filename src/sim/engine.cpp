@@ -161,6 +161,23 @@ void MachineContext::send(std::size_t dst, std::uint16_t tag, Writer& writer) {
   }
 }
 
+void MachineContext::send(std::size_t dst, std::uint16_t tag,
+                          std::span<const std::byte> payload) {
+#if KM_TRACING_ENABLED
+  const SendTimer timer(trace_);
+#endif
+  LinkOut& link = link_for(dst);
+  if (should_frame(link, payload.size())) {
+    send_framed(link, dst, tag, payload);
+  } else {
+    account_send(dst, payload.size());
+    Message msg = stamp(dst, tag);
+    msg.payload =
+        PayloadRef(std::vector<std::byte>(payload.begin(), payload.end()));
+    link.messages.push_back(std::move(msg));
+  }
+}
+
 void MachineContext::broadcast(std::uint16_t tag, Writer& writer) {
   const PayloadRef payload(writer.take());
   for (std::size_t dst = 0; dst < k(); ++dst) {
@@ -359,6 +376,13 @@ void Engine::machine_main(const Program& program, std::size_t who) {
   } catch (...) {
     record_first_error(std::current_exception());
   }
+#if KM_TRACING_ENABLED
+  // The compute after the machine's last exchange() (all of it, for a
+  // program that never exchanges) gets its own trailing span.
+  if (MachineTraceBuffer* trace = contexts_[who]->trace_) {
+    trace->thread_end(trace->now_ns());
+  }
+#endif
   contexts_[who]->finished_ = true;  // published by the next arrival
   finished_count_.fetch_add(1, std::memory_order_release);
   // Keep participating in barriers until the engine stops, so machines

@@ -28,7 +28,7 @@
 //    EngineConfig::framed_payload_max_bytes, by default derived from B
 //    via framed_payload_default_bytes() in sim/message.hpp; 0 disables
 //    framing)
-//    produced by the Writer/vector overloads are
+//    produced by the Writer/vector/span overloads are
 //    *framed* from the link's second message of the superstep onward:
 //    their bytes are appended to one length-prefixed frame buffer per
 //    (src, dst, superstep) — layout per entry:
@@ -38,7 +38,11 @@
 //    path.)  One pooled frame buffer
 //    amortizes the per-message fixed cost (PayloadBuf object + refcount
 //    traffic + allocator round trip) across every small message on the
-//    link, which is what dominates tiny-payload workloads.  Accounting is
+//    link, which is what dominates tiny-payload workloads.  The span
+//    overload copies caller-owned bytes — into the frame when framed,
+//    otherwise into a buffer of exactly the payload's size — so one
+//    payload sent to many peers costs no per-send heap copy of its own
+//    and never pins a pooled buffer of arbitrary capacity.  Accounting is
 //    deliberately *unbatched*: every message is still charged
 //    Message::kHeaderBits + 8 * payload_bytes against its link, framed or
 //    not, so rounds/bits/max_link_bits are byte-identical to an
@@ -170,6 +174,11 @@ class MachineContext {
   void send(std::size_t dst, std::uint16_t tag, PayloadRef payload);
   void send(std::size_t dst, std::uint16_t tag, std::vector<std::byte> payload);
   void send(std::size_t dst, std::uint16_t tag, Writer& writer);
+  /// Copies the bytes: into the link's frame when framed, otherwise into
+  /// a buffer of exactly payload.size().  For one payload sent to many
+  /// peers from caller-owned storage.
+  void send(std::size_t dst, std::uint16_t tag,
+            std::span<const std::byte> payload);
 
   /// Buffer the same payload to every other machine (k-1 messages sharing
   /// one immutable buffer — zero-copy).  Consumes the writer's contents.

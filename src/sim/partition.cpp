@@ -19,7 +19,16 @@ std::vector<std::vector<Vertex>> invert(
 
 VertexPartition::VertexPartition(std::size_t k,
                                  std::vector<std::uint32_t> home)
-    : k_(k), home_(std::move(home)), owned_(invert(k, home_)) {}
+    : k_(k),
+      home_(std::move(home)),
+      owned_(invert(k, home_)),
+      rank_(home_.size(), 0) {
+  for (const auto& owned : owned_) {
+    for (std::size_t i = 0; i < owned.size(); ++i) {
+      rank_[owned[i]] = static_cast<std::uint32_t>(i);
+    }
+  }
+}
 
 VertexPartition VertexPartition::random(std::size_t n, std::size_t k,
                                         Rng& rng) {

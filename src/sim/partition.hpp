@@ -51,6 +51,10 @@ class VertexPartition {
     return owned_[machine];
   }
 
+  /// v's index in owned(home(v)): the home machine's dense local slot
+  /// for v, shared knowledge like home() itself.
+  std::uint32_t rank(Vertex v) const noexcept { return rank_[v]; }
+
   std::size_t load(std::size_t machine) const noexcept {
     return owned_[machine].size();
   }
@@ -65,6 +69,7 @@ class VertexPartition {
   std::size_t k_ = 0;
   std::vector<std::uint32_t> home_;
   std::vector<std::vector<Vertex>> owned_;
+  std::vector<std::uint32_t> rank_;
 };
 
 /// Assignment of edge-list indices [0,m) to machines [0,k).

@@ -64,7 +64,7 @@ void MachineTraceBuffer::add_send(std::uint64_t begin_ns,
   send_accum_ns_ += end_ns - begin_ns;
 }
 
-void MachineTraceBuffer::begin_sync(std::uint64_t at_ns) {
+void MachineTraceBuffer::close_compute(std::uint64_t at_ns) {
   spans_.push_back({superstep_, TracePhase::kCompute, prev_end_ns_, at_ns});
   // The nested send span: real extent when the program sent this
   // superstep, zero-length at the compute boundary otherwise — so every
@@ -74,7 +74,15 @@ void MachineTraceBuffer::begin_sync(std::uint64_t at_ns) {
   spans_.push_back({superstep_, TracePhase::kSend, sb, sb + send_accum_ns_});
   any_send_ = false;
   send_accum_ns_ = 0;
+}
+
+void MachineTraceBuffer::begin_sync(std::uint64_t at_ns) {
+  close_compute(at_ns);
   phase_begin_ns_ = at_ns;
+}
+
+void MachineTraceBuffer::thread_end(std::uint64_t at_ns) {
+  close_compute(at_ns);
 }
 
 void MachineTraceBuffer::end_barrier(std::uint64_t at_ns) {

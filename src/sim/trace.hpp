@@ -14,7 +14,8 @@
 //    exchanges), `send` (serialization/bucketing inside send(), nested in
 //    compute), `barrier_wait` (arrival to release at the combining-tree
 //    barrier — the straggler signature), and `deliver` (the lock-free
-//    inbound drain).
+//    inbound drain).  When the program returns, a trailing `compute` +
+//    `send` pair covers the code after its last exchange.
 //  - The root finalizer emits one TraceCounterSample per superstep
 //    (rounds, messages, bits, max_link_bits, buffer/payload-pool deltas),
 //    recorded under the barrier's fold-phase exclusivity.
@@ -134,6 +135,9 @@ class MachineTraceBuffer {
   void begin_sync(std::uint64_t at_ns);
   void end_barrier(std::uint64_t at_ns);
   void end_deliver(std::uint64_t at_ns);
+  /// Program return: closes the trailing compute span (with its nested
+  /// send span) after the machine's last exchange.
+  void thread_end(std::uint64_t at_ns);
 
   const std::vector<TraceSpan>& spans() const noexcept { return spans_; }
 
@@ -141,6 +145,9 @@ class MachineTraceBuffer {
   friend class TraceSession;
   explicit MachineTraceBuffer(const TraceSession* session)
       : session_(session) {}
+
+  /// Emits the compute span ending at `at_ns` and its nested send span.
+  void close_compute(std::uint64_t at_ns);
 
   const TraceSession* session_;
   std::vector<TraceSpan> spans_;

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <span>
 #include <thread>
 
 #include "sim/engine.hpp"
@@ -216,10 +217,18 @@ constexpr std::size_t kTestFrameBytes = 256;
 // Sender and receiver independently recompute each link's message plan
 // from pure hashes, so the receiver can verify counts, order, and bytes
 // with no shared state.  Sizes deliberately straddle kTestFrameBytes so
-// framed and unframed messages interleave on every link.
+// framed and unframed messages interleave on every link, and each
+// message picks one of the three copying send overloads, so the
+// overloads mix on both sides of the framing split too.
+enum class SendOverload { kWriter, kVector, kSpan };
+
 struct PlannedMessage {
   std::size_t size;
   std::uint64_t seed;
+
+  SendOverload overload() const {
+    return static_cast<SendOverload>(seed % 3);
+  }
 };
 
 std::vector<PlannedMessage> link_plan(std::uint64_t trial, int step,
@@ -248,7 +257,8 @@ std::vector<std::byte> pattern_bytes(std::uint64_t seed, std::size_t len) {
 // must preserve ascending source and per-link send order with exact
 // bytes, and every superstep's rounds/bits/max_link_bits must equal the
 // *unbatched* formula (sum per message of kHeaderBits + 8 * payload),
-// i.e. batching is invisible to the cost model — whatever the threshold.
+// i.e. batching is invisible to the cost model — whatever the threshold
+// and whichever send overload carried each message.
 void run_framing_property_trial(std::uint64_t trial,
                                 std::size_t frame_bytes) {
   constexpr std::size_t kMachines = 6;
@@ -264,9 +274,22 @@ void run_framing_property_trial(std::uint64_t trial,
         for (std::size_t dst = 0; dst < kMachines; ++dst) {
           if (dst == ctx.id()) continue;
           for (const auto& m : link_plan(trial, step, ctx.id(), dst)) {
-            Writer w;
-            w.put_bytes(pattern_bytes(m.seed, m.size));
-            ctx.send(dst, static_cast<std::uint16_t>(m.size % 7), w);
+            const auto tag = static_cast<std::uint16_t>(m.size % 7);
+            std::vector<std::byte> bytes = pattern_bytes(m.seed, m.size);
+            switch (m.overload()) {
+              case SendOverload::kWriter: {
+                Writer w;
+                w.put_bytes(bytes);
+                ctx.send(dst, tag, w);
+                break;
+              }
+              case SendOverload::kVector:
+                ctx.send(dst, tag, std::move(bytes));
+                break;
+              case SendOverload::kSpan:
+                ctx.send(dst, tag, std::span<const std::byte>(bytes));
+                break;
+            }
           }
         }
         const auto in = ctx.exchange();

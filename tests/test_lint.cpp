@@ -183,6 +183,18 @@ TEST(LintRules, UnorderedIterIsScopedToOrderSensitivePaths) {
   EXPECT_TRUE(scan_source("extern/x.cpp", code).empty());
 }
 
+TEST(LintRules, UnorderedIterMatchesMemberChains) {
+  // `for (... : edges.adjacency)` walks the container as surely as a
+  // bare name does: the rule matches the chain's last identifier.
+  auto findings = scan_file(fixture("unordered_iter_member.cpp"),
+                            "src/core/unordered_iter_member.cpp");
+  ASSERT_TRUE(findings.has_value());
+  ASSERT_EQ(findings->size(), 2u)
+      << ::testing::PrintToString(rules_of(*findings));
+  for (const Finding& f : *findings) EXPECT_EQ(f.rule, "unordered-iter");
+  EXPECT_LT((*findings)[0].line, (*findings)[1].line);
+}
+
 TEST(LintRules, SeededEngineAndEngineTypeUsesDoNotFire) {
   EXPECT_TRUE(
       scan_source("x.cpp", "std::mt19937_64 gen(seed);\n").empty());

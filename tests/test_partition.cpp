@@ -38,6 +38,18 @@ TEST(VertexPartition, OwnedListsAreSortedAndDisjoint) {
   EXPECT_TRUE(std::all_of(seen.begin(), seen.end(), [](bool b) { return b; }));
 }
 
+TEST(VertexPartition, RankIndexesTheHomeOwnedList) {
+  Rng rng(3);
+  for (const auto& p : {VertexPartition::random(300, 5, rng),
+                        VertexPartition::by_hash(300, 4, 9),
+                        VertexPartition::identity(6)}) {
+    for (std::size_t i = 0; i < p.k(); ++i) {
+      const auto& o = p.owned(i);
+      for (std::size_t r = 0; r < o.size(); ++r) EXPECT_EQ(p.rank(o[r]), r);
+    }
+  }
+}
+
 class RvpBalanceSweep
     : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
 

@@ -76,8 +76,9 @@ TEST(TraceSpans, KnownProgramSpanShape) {
 
   for (std::size_t id = 0; id < k; ++id) {
     const std::vector<TraceSpan>& spans = session->machine(id).spans();
-    // Exactly four spans per (machine, superstep), in phase order.
-    ASSERT_EQ(spans.size(), 4 * m.supersteps) << "machine " << id;
+    // Exactly four spans per (machine, superstep), in phase order, then
+    // the trailing compute + send pair closed when the program returns.
+    ASSERT_EQ(spans.size(), 4 * m.supersteps + 2) << "machine " << id;
     for (std::uint64_t s = 0; s < m.supersteps; ++s) {
       const TraceSpan& compute = spans[4 * s + 0];
       const TraceSpan& send = spans[4 * s + 1];
@@ -97,11 +98,47 @@ TEST(TraceSpans, KnownProgramSpanShape) {
       EXPECT_LE(send.end_ns, compute.end_ns);
       EXPECT_EQ(barrier.begin_ns, compute.end_ns);
       EXPECT_EQ(deliver.begin_ns, barrier.end_ns);
-      if (s + 1 < m.supersteps) {
-        EXPECT_EQ(spans[4 * (s + 1)].begin_ns, deliver.end_ns);
-      }
+      EXPECT_EQ(spans[4 * (s + 1)].begin_ns, deliver.end_ns);
     }
+    const TraceSpan& tail = spans[4 * m.supersteps];
+    const TraceSpan& tail_send = spans[4 * m.supersteps + 1];
+    EXPECT_EQ(tail.phase, TracePhase::kCompute);
+    EXPECT_EQ(tail_send.phase, TracePhase::kSend);
+    EXPECT_EQ(tail.superstep, m.supersteps);
+    EXPECT_EQ(tail_send.superstep, m.supersteps);
+    EXPECT_LE(tail.begin_ns, tail.end_ns);
+    EXPECT_GE(tail_send.begin_ns, tail.begin_ns);
+    EXPECT_LE(tail_send.end_ns, tail.end_ns);
   }
+}
+
+TEST(TraceSpans, ProgramWithoutExchangeRecordsOneComputeSpan) {
+  if (!kTracingBuilt) GTEST_SKIP() << "built with KM_DISABLE_TRACING";
+  // Work after a machine's last exchange() must still show up as
+  // compute, even when, as here, the program never exchanges at all.
+  const std::size_t k = 3;
+  Engine engine(k, {.bandwidth_bits = 64, .seed = 7, .trace = true});
+  const Metrics m = engine.run([](MachineContext&) {});
+  const auto session = engine.trace_session();
+  ASSERT_NE(session, nullptr);
+  EXPECT_EQ(m.supersteps, 0u);
+  for (std::size_t id = 0; id < k; ++id) {
+    const std::vector<TraceSpan>& spans = session->machine(id).spans();
+    ASSERT_EQ(spans.size(), 2u) << "machine " << id;
+    EXPECT_EQ(spans[0].phase, TracePhase::kCompute);
+    EXPECT_EQ(spans[1].phase, TracePhase::kSend);
+    EXPECT_EQ(spans[1].begin_ns, spans[0].end_ns);  // no sends: zero-length
+    EXPECT_EQ(spans[1].end_ns, spans[0].end_ns);
+    EXPECT_LE(spans[0].begin_ns, spans[0].end_ns);
+  }
+  const std::string json = session->chrome_trace_json("no_exchange");
+  trace_check::JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(trace_check::parse_json(json, doc, error)) << error;
+  const trace_check::CheckResult result =
+      trace_check::check_chrome_trace(doc, k);
+  EXPECT_TRUE(result.ok()) << ::testing::PrintToString(result.errors);
+  EXPECT_EQ(result.span_events, 2 * k);
 }
 
 TEST(TraceSpans, TimingSummaryCoversEveryMachine) {
@@ -219,7 +256,7 @@ TEST(TraceExport, ChromeTraceValidatesInProcess) {
       trace_check::check_chrome_trace(doc, k);
   EXPECT_TRUE(result.ok()) << ::testing::PrintToString(result.errors);
   EXPECT_EQ(result.machines, k);
-  EXPECT_EQ(result.span_events, k * m.supersteps * 4);
+  EXPECT_EQ(result.span_events, k * (m.supersteps * 4 + 2));
   // 6 ph "C" events per counter sample (4 scalars + 2 pool pairs).
   EXPECT_EQ(result.counter_events, m.supersteps * 6);
 }

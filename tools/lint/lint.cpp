@@ -168,6 +168,30 @@ std::size_t skip_ws(std::string_view line, std::size_t pos) {
   return pos;
 }
 
+// The name a range-for's range expression iterates: the expression
+// itself when it is a plain identifier, or the last identifier of an
+// `a.b` / `a->b` member chain; empty for anything else (calls,
+// subscripts, casts).
+std::string_view ranged_name(std::string_view range) {
+  std::size_t pos = 0;
+  for (;;) {
+    const std::size_t begin = pos;
+    while (pos < range.size() && ident_char(range[pos])) ++pos;
+    if (pos == begin) return {};
+    const std::string_view name = range.substr(begin, pos - begin);
+    pos = skip_ws(range, pos);
+    if (pos == range.size()) return name;
+    if (range[pos] == '.') {
+      ++pos;
+    } else if (range.substr(pos, 2) == "->") {
+      pos += 2;
+    } else {
+      return {};
+    }
+    pos = skip_ws(range, pos);
+  }
+}
+
 constexpr std::array<RuleInfo, 7> kRules = {{
     {"random-device",
      "std::random_device is hardware entropy; runs can never reproduce. "
@@ -472,9 +496,10 @@ struct Scanner {
             close == std::string_view::npos) {
           continue;
         }
-        const std::string_view range =
-            trim(line.substr(colon + 1, close - colon - 1));
-        if (std::find(names.begin(), names.end(), range) != names.end()) {
+        const std::string_view name =
+            ranged_name(trim(line.substr(colon + 1, close - colon - 1)));
+        if (!name.empty() &&
+            std::find(names.begin(), names.end(), name) != names.end()) {
           fire(i, "unordered-iter");
         }
       }
