@@ -1,4 +1,4 @@
-// Experiment E14: ablations of the design choices DESIGN.md calls out.
+// Experiment E14: ablations of the algorithms' main design choices.
 //
 //  1. PageRank heavy-vertex path on/off (the core of Algorithm 1 vs the
 //     naive baseline) on the star hot spot;

@@ -5,7 +5,8 @@
 // measured series (e.g. rounds vs k), prints it next to the paper's
 // predicted curve, and reports the fitted log-log exponent so "who wins,
 // by roughly what factor, where crossovers fall" is visible directly in
-// the output.  See DESIGN.md's per-experiment index and EXPERIMENTS.md.
+// the output.  Each binary's header comment names its experiment (E1-E14)
+// and the paper claim it tracks.
 #pragma once
 
 #include <benchmark/benchmark.h>

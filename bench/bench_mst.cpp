@@ -78,7 +78,7 @@ struct RegisterExpectations {
     // The paper's bound is Theta~(n/k^2) (tight via [51]'s sketch-based
     // algorithm).  Our simplified Boruvka pays O~(n/k) per phase for
     // fragment-label pushes plus a per-phase superstep floor, so its
-    // finite-size slope is shallower; EXPERIMENTS.md discusses the gap.
+    // finite-size slope is shallower than the bound's.
     t.expect_slope("mst/complete-random/measured (rounds)", -2.0);
     t.expect_slope("mst/complete-random/LB (rounds)", -2.0);
     t.expect_slope("mst/sparse-gnp/measured (rounds)", -2.0);

@@ -10,7 +10,8 @@
 // replicated to C(c+1, 2) ~ k^{1/2} machines, giving total traffic
 // m * k^{1/2} and round complexity O~(m/k^{3/2}) — the analogue of
 // Theorem 5's O~(m/k^{5/3}).  Each 4-clique's color multiset identifies
-// the unique machine that outputs it.
+// the unique machine that outputs it.  The designation and routing
+// phases are core/detail/tripartition.hpp, shared with core/triangles.hpp.
 #pragma once
 
 #include <array>

@@ -12,8 +12,9 @@
 // Where the keys are dense local ids, a sorted vector or an array
 // indexed by the id is cheaper still and deterministic by construction.
 // PageRank and the Borůvka driver behind mst/components work that way
-// (per-run local indexes built from the graph and the partition) and no
-// longer use these helpers; connectivity, triangles and cliques still do.
+// (per-run local indexes built from the graph and the partition), and
+// triangles and cliques enumerate on a `Graph` in global ids; none of
+// them uses these helpers.  Connectivity is the only user left.
 #pragma once
 
 #include <algorithm>

@@ -24,6 +24,9 @@
 //  4. Local enumeration.  Each triplet machine builds the received
 //     subgraph and enumerates its triangles locally.
 //
+// Steps 1-3 are core/detail/tripartition.hpp, the routing shared with
+// 4-clique enumeration (core/cliques.hpp).
+//
 // distributed_triangles_baseline() is the naive comparison point: every
 // designated edge is broadcast to all machines (O~(m/k) rounds), and
 // machine j enumerates the triangles whose smallest vertex hashes to j.

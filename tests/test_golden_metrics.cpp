@@ -20,6 +20,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "runtime/dataset.hpp"
@@ -52,17 +53,22 @@ std::string golden_path(const std::string& workload) {
   return std::string(KM_GOLDEN_DIR) + "/" + workload + ".json";
 }
 
-std::string render_current(const Workload& workload,
-                           const std::string& spec) {
+RunResult run_cell(const Workload& workload, const std::string& spec,
+                   std::size_t k) {
   RunParams params;
-  params.k = 4;
+  params.k = k;
   params.bandwidth_bits = 0;  // default B = Theta(log^2 n), deterministic
   params.seed = 7;
   params.record_timeline = true;
   params.check = true;
   const Dataset dataset =
       load_dataset(spec, workload.input_kind(), params.seed);
-  return run_result_to_json(run_workload(workload, dataset, params)) + "\n";
+  return run_workload(workload, dataset, params);
+}
+
+std::string render_current(const Workload& workload,
+                           const std::string& spec) {
+  return run_result_to_json(run_cell(workload, spec, 4)) + "\n";
 }
 
 /// The exempt-key set.  A key here is dropped from the diff wherever it
@@ -151,6 +157,40 @@ TEST(GoldenMetrics, SnapshotsMatchFieldByField) {
       if (got[i] != want[i]) break;  // first divergence is the story
     }
     EXPECT_EQ(got.size(), want.size()) << name << ".json length changed";
+  }
+}
+
+// The snapshots run at k = 4, where TriPartition has one color and one
+// tuple machine, so they never exercise the multi-color fan-out.  These
+// cells do (c = 3 triplets at k = 27, c = 2 quadruplets at k = 16); the
+// baseline cell shares the designation phase.  Same seed and default B as
+// the snapshots: `km_run run --workload W --dataset D --k K --seed 7`.
+TEST(GoldenMetrics, TriPartitionCostsAtMultiColorK) {
+  struct Cell {
+    const char* workload;
+    const char* dataset;
+    std::size_t k;
+    std::uint64_t rounds, supersteps, messages, bits, max_link_bits, output;
+  };
+  const Cell cells[] = {
+      {"triangles", "gnp:n=120,p=0.15", 27, 4, 3, 4988, 154000, 1216, 1083},
+      {"triangles_baseline", "gnp:n=120,p=0.15", 8, 10, 2, 7812, 249536, 6336,
+       1083},
+      {"cliques4", "gnp:n=80,p=0.3", 16, 5, 3, 3952, 124544, 2208, 1615},
+  };
+  for (const Cell& cell : cells) {
+    SCOPED_TRACE(std::string(cell.workload) + " k=" + std::to_string(cell.k));
+    const Workload* workload = WorkloadRegistry::instance().find(cell.workload);
+    ASSERT_NE(workload, nullptr);
+    const RunResult result = run_cell(*workload, cell.dataset, cell.k);
+    EXPECT_TRUE(result.check.ok) << result.check.detail;
+    EXPECT_EQ(result.metrics.rounds, cell.rounds);
+    EXPECT_EQ(result.metrics.supersteps, cell.supersteps);
+    EXPECT_EQ(result.metrics.messages, cell.messages);
+    EXPECT_EQ(result.metrics.bits, cell.bits);
+    EXPECT_EQ(result.metrics.max_link_bits_superstep, cell.max_link_bits);
+    ASSERT_EQ(result.outputs.size(), 1u);
+    EXPECT_EQ(std::get<std::uint64_t>(result.outputs[0].second), cell.output);
   }
 }
 

@@ -7,8 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
+#include "core/cliques.hpp"
+#include "core/detail/tripartition.hpp"
 #include "graph/generators.hpp"
 #include "graph/triangle_ref.hpp"
+#include "util/mathx.hpp"
 
 namespace km {
 namespace {
@@ -154,6 +160,51 @@ TEST(TrianglesKm, WorkerAndColorCounts) {
   for (std::size_t k = 1; k < 600; ++k) {
     EXPECT_LE(triangle_worker_count(k), k) << k;
   }
+}
+
+// Each subgraph comes out exactly once because every color pair {x, y}
+// is routed to exactly the tuples that contain it, and the tuples are
+// distinct sorted multisets.  Checked for triangles (s = 3) and 4-cliques
+// (s = 4) against a brute-force sub-multiset test.
+TEST(TriPartition, ColorTuplesCoverEveryColorPair) {
+  for (const std::size_t arity : {3, 4}) {
+    for (std::size_t c = 1; c <= 6; ++c) {
+      SCOPED_TRACE("arity=" + std::to_string(arity) +
+                   " c=" + std::to_string(c));
+      const detail::ColorTuples tuples(c, arity);
+      EXPECT_EQ(tuples.size(), static_cast<std::size_t>(std::llround(
+                                   binomial_coeff(c + arity - 1, arity))));
+      EXPECT_EQ(tuples.size(), arity == 3 ? triangle_worker_count(c * c * c)
+                                          : clique_worker_count(c * c * c * c));
+      for (std::size_t i = 0; i < tuples.size(); ++i) {
+        ASSERT_EQ(tuples.tuple(i).size(), arity);
+        EXPECT_TRUE(std::ranges::is_sorted(tuples.tuple(i))) << i;
+        if (i > 0) {
+          EXPECT_TRUE(std::ranges::lexicographical_compare(tuples.tuple(i - 1),
+                                                           tuples.tuple(i)))
+              << i;
+        }
+      }
+      for (std::size_t x = 0; x < c; ++x) {
+        for (std::size_t y = 0; y < c; ++y) {
+          std::vector<std::size_t> want;
+          for (std::size_t i = 0; i < tuples.size(); ++i) {
+            const auto t = tuples.tuple(i);
+            const auto has_x = std::ranges::count(t, x);
+            const auto has_y = std::ranges::count(t, y);
+            if (x == y ? has_x >= 2 : has_x >= 1 && has_y >= 1) {
+              want.push_back(i);
+            }
+          }
+          EXPECT_EQ(tuples.hosts(x, y), want) << x << "," << y;
+          EXPECT_EQ(tuples.hosts(x, y), tuples.hosts(y, x)) << x << "," << y;
+        }
+      }
+    }
+  }
+  // Colors are stored as bytes; more than 256 must not wrap silently.
+  EXPECT_THROW(detail::ColorTuples(257, 3), std::invalid_argument);
+  EXPECT_THROW(detail::ColorTuples(0, 3), std::invalid_argument);
 }
 
 TEST(TrianglesKm, DeterministicForFixedSeeds) {
