@@ -4,8 +4,6 @@
 #include <stdexcept>
 
 #include "graph/properties.hpp"
-#include "util/options.hpp"
-#include "util/parse.hpp"
 #include "util/rng.hpp"
 
 namespace km {
@@ -96,36 +94,16 @@ RunResult run_workload(const Workload& workload, const Dataset& dataset,
     resolved.bandwidth_bits =
         EngineConfig::default_bandwidth(std::max<std::size_t>(dataset.n, 2));
   }
-  // Framing auto-derives from the *resolved* bandwidth so the serialized
-  // parameter cell (and the golden snapshots diffing it) always records
-  // the concrete threshold, never the sentinel.
-  if (resolved.frame_bytes == kFramedPayloadAuto) {
-    resolved.frame_bytes =
-        framed_payload_default_bytes(resolved.bandwidth_bits);
-  }
   Engine engine(resolved.k,
                 {.bandwidth_bits = resolved.bandwidth_bits,
                  .seed = resolved.seed,
                  .record_timeline = resolved.record_timeline,
                  .trace = resolved.trace,
                  .trace_links = resolved.trace_links,
-                 .framed_payload_max_bytes = resolved.frame_bytes,
                  .workers = resolved.workers});
   RunResult result = workload.run(engine, dataset, resolved);
   result.trace = engine.trace_session();
   return result;
-}
-
-std::size_t frame_bytes_flag(const Options& opts) {
-  const std::string text = opts.get_string("frame-bytes", "auto");
-  if (text == "auto") return kFramedPayloadAuto;
-  std::uint64_t value = 0;
-  if (!parse_strict_uint(text, value)) {
-    throw OptionsError(
-        "flag --frame-bytes expects 'auto' or a non-negative integer, got '" +
-        text + "'");
-  }
-  return static_cast<std::size_t>(value);
 }
 
 }  // namespace km

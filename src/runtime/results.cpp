@@ -31,7 +31,9 @@ std::string run_result_to_json(const RunResult& result, int indent) {
   w.field("k", std::uint64_t{result.params.k});
   w.field("bandwidth_bits", result.params.bandwidth_bits);
   w.field("seed", result.params.seed);
-  w.field("frame_bytes", std::uint64_t{result.params.frame_bytes});
+  const std::uint64_t frame_bytes =
+      framed_payload_default_bytes(result.params.bandwidth_bits);
+  w.field("frame_bytes", frame_bytes);
   w.field("timeline", result.params.record_timeline);
   w.end_object();
 

@@ -12,7 +12,7 @@
 //     "dataset": {"spec": "gnp:n=1000,p=0.01", "kind": "weighted_graph",
 //                 "n": 1000, "m": 5034},
 //     "params": {"k": 8, "bandwidth_bits": 1600, "seed": 42,
-//                "frame_bytes": 256, "timeline": true},
+//                "frame_bytes": 200, "timeline": true},
 //     "check": {"performed": true, "ok": true, "detail": "..."},
 //     "outputs": {"total_weight": 123456, ...},
 //     "metrics": {"rounds": ..., "supersteps": ..., "messages": ...,
@@ -33,7 +33,9 @@
 //
 // RunParams::trace / trace_links deliberately do NOT appear under
 // "params": they are observation knobs, not part of the parameter cell
-// that identifies a deterministic run.
+// that identifies a deterministic run.  "frame_bytes" is not a parameter
+// either: it reports the message plane's framing threshold,
+// framed_payload_default_bytes(bandwidth_bits) from sim/message.hpp.
 #pragma once
 
 #include <string>

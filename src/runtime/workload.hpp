@@ -26,8 +26,6 @@
 
 namespace km {
 
-class Options;
-
 /// Knobs shared by every workload run.
 struct RunParams {
   std::size_t k = 8;  ///< number of machines
@@ -35,13 +33,6 @@ struct RunParams {
   /// B = Theta(log^2 n), resolved against the dataset's n at run time.
   std::uint64_t bandwidth_bits = 0;
   std::uint64_t seed = 1;  ///< drives dataset, partition, and engine RNGs
-  /// Message-plane framing threshold (EngineConfig::framed_payload_max_bytes);
-  /// 0 disables framing, kFramedPayloadAuto (the default) derives the
-  /// threshold from the resolved bandwidth — run_workload() replaces the
-  /// sentinel with framed_payload_default_bytes(B) so serialized params
-  /// always carry the concrete value.  Transport policy only — never
-  /// changes metrics.
-  std::size_t frame_bytes = kFramedPayloadAuto;
   bool record_timeline = true;  ///< per-superstep breakdown in the result
   bool check = true;  ///< verify against the sequential reference
   /// Wall-time tracing (EngineConfig::trace): phase spans + counter
@@ -60,12 +51,6 @@ struct RunParams {
   /// golden snapshots never see it.
   std::size_t workers = 0;
 };
-
-/// The `--frame-bytes` value of a km_run / km_serve command line:
-/// "auto" (also the default when the flag is absent) gives
-/// kFramedPayloadAuto, and anything else must be a non-negative integer.
-/// Throws OptionsError naming the flag otherwise.
-std::size_t frame_bytes_flag(const Options& opts);
 
 /// Outcome of the sequential-reference verification.
 struct CheckResult {

@@ -35,7 +35,6 @@ std::string ResultStore::scenario_key(std::string_view workload,
   key += "\x1f" "k=" + std::to_string(params.k);
   key += "\x1f" "B=" + std::to_string(params.bandwidth_bits);
   key += "\x1f" "seed=" + std::to_string(params.seed);
-  key += "\x1f" "frame=" + std::to_string(params.frame_bytes);
   key += "\x1f" "check=" + std::to_string(params.check ? 1 : 0);
   key += "\x1f" "timeline=" + std::to_string(params.record_timeline ? 1 : 0);
   return key;

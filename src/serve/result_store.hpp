@@ -11,10 +11,11 @@
 // Keys combine the workload name, the dataset cell's canonical identity
 // (DatasetCache::canonical_key — spelling variants of one spec collide),
 // and every RunParams field that is part of the deterministic parameter
-// cell: k, bandwidth_bits, seed, frame_bytes, check, timeline.  workers
-// and trace are deliberately excluded — the Determinism suite proves
-// documents are byte-identical across them (results.hpp keeps them out
-// of the serialized params for the same reason).  An unresolved
+// cell: k, bandwidth_bits, seed, check, timeline.  workers and trace are
+// deliberately excluded — the Determinism suite proves documents are
+// byte-identical across them (results.hpp keeps them out of the
+// serialized params for the same reason) — and the framing threshold
+// follows from B, so it needs no key part of its own.  An unresolved
 // bandwidth (B=0) keys differently from its resolved value; both map to
 // identical bytes, they just occupy two entries.
 //

@@ -145,7 +145,7 @@ void ServeServer::serve_connection(int fd) {
       Response response;
       bool is_shutdown = false;
       if (!parse_request(line, request, error)) {
-        response = error_response("bad request: " + error);
+        response = service_.reject("bad request: " + error);
       } else {
         response = service_.handle(request);
         is_shutdown = request.op == Request::Op::kShutdown;

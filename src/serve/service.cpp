@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <utility>
 
 #include "runtime/results.hpp"
 #include "util/json.hpp"
@@ -38,6 +39,12 @@ Response ScenarioService::handle(const Request& request) {
   }
   errors_.fetch_add(1, std::memory_order_relaxed);
   return error_response("unhandled op");
+}
+
+Response ScenarioService::reject(std::string error) {
+  requests_.fetch_add(1, std::memory_order_relaxed);
+  errors_.fetch_add(1, std::memory_order_relaxed);
+  return error_response(std::move(error));
 }
 
 Response ScenarioService::handle_run(const Request& request) {

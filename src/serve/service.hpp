@@ -37,7 +37,7 @@ struct ServiceConfig {
 /// Service-level request accounting (cache counters live with their
 /// caches; these count traffic).
 struct ServiceCounters {
-  std::uint64_t requests = 0;     ///< every request handled
+  std::uint64_t requests = 0;     ///< every request, malformed ones too
   std::uint64_t runs = 0;         ///< engine runs executed
   std::uint64_t replays = 0;      ///< run requests served from the store
   std::uint64_t errors = 0;       ///< error responses
@@ -60,7 +60,12 @@ class ScenarioService {
   const ServiceConfig& config() const { return config_; }
 
  private:
+  friend class ServeServer;  // reports the lines parse_request() rejects
+
   Response handle_run(const Request& request);
+  /// Answers a request line that failed to parse, counting it as a
+  /// request and an error like every other error response.
+  Response reject(std::string error);
 
   ServiceConfig config_;
   ResultStore store_;

@@ -11,7 +11,6 @@
 
 namespace km {
 
-#if KM_TRACING_ENABLED
 namespace {
 /// Accumulates one send() call's wall time into the machine's nested send
 /// span.  Inert (no clock read) on untraced runs.
@@ -31,7 +30,6 @@ class SendTimer {
   std::uint64_t begin_ = 0;
 };
 }  // namespace
-#endif
 
 std::uint64_t EngineConfig::default_bandwidth(std::size_t n) noexcept {
   const std::uint64_t logn = std::max<std::uint64_t>(1, ceil_log2(n));
@@ -84,13 +82,10 @@ void MachineContext::account_send(std::size_t dst,
 // single message on the link there is nothing to amortize it against, so
 // a link's first small message takes the zero-copy path and framing
 // starts from the second.  (Delivery order is independent of the split:
-// the messages vector is authoritative.)  The threshold is the
-// EngineConfig knob; 0 turns framing off.
+// the messages vector is authoritative.)
 bool MachineContext::should_frame(const LinkOut& link,
                                   std::size_t payload_bytes) const {
-  const std::size_t threshold = config().framed_payload_max_bytes;
-  return threshold > 0 && payload_bytes <= threshold &&
-         !link.messages.empty();
+  return payload_bytes <= engine_->frame_threshold_ && !link.messages.empty();
 }
 
 Message MachineContext::stamp(std::size_t dst, std::uint16_t tag) const {
@@ -103,9 +98,7 @@ Message MachineContext::stamp(std::size_t dst, std::uint16_t tag) const {
 
 void MachineContext::send(std::size_t dst, std::uint16_t tag,
                           PayloadRef payload) {
-#if KM_TRACING_ENABLED
   const SendTimer timer(trace_);
-#endif
   LinkOut& link = link_for(dst);
   account_send(dst, payload.size());
   Message msg = stamp(dst, tag);
@@ -130,9 +123,7 @@ void MachineContext::send_framed(LinkOut& link, std::size_t dst,
 
 void MachineContext::send(std::size_t dst, std::uint16_t tag,
                           std::vector<std::byte> payload) {
-#if KM_TRACING_ENABLED
   const SendTimer timer(trace_);
-#endif
   LinkOut& link = link_for(dst);
   if (should_frame(link, payload.size())) {
     send_framed(link, dst, tag, payload);
@@ -146,9 +137,7 @@ void MachineContext::send(std::size_t dst, std::uint16_t tag,
 }
 
 void MachineContext::send(std::size_t dst, std::uint16_t tag, Writer& writer) {
-#if KM_TRACING_ENABLED
   const SendTimer timer(trace_);
-#endif
   LinkOut& link = link_for(dst);
   if (should_frame(link, writer.size_bytes())) {
     send_framed(link, dst, tag, writer.view());
@@ -163,9 +152,7 @@ void MachineContext::send(std::size_t dst, std::uint16_t tag, Writer& writer) {
 
 void MachineContext::send(std::size_t dst, std::uint16_t tag,
                           std::span<const std::byte> payload) {
-#if KM_TRACING_ENABLED
   const SendTimer timer(trace_);
-#endif
   LinkOut& link = link_for(dst);
   if (should_frame(link, payload.size())) {
     send_framed(link, dst, tag, payload);
@@ -190,24 +177,18 @@ std::vector<Message> MachineContext::exchange() {
   // The machine's superstep boundary is also the tracing seam: the span
   // clock only ticks here and in SendTimer, so an untraced run's hot path
   // sees nothing but null-pointer checks.
-#if KM_TRACING_ENABLED
   if (trace_) trace_->begin_sync(trace_->now_ns());
-#endif
   if (engine_->barrier_arrive_and_wait(id_)) {
     // Only possible when the engine aborted (superstep budget, or a
     // failed barrier merge): a normal stop requires *all* machines to
     // have finished, and this one hasn't.
     throw std::runtime_error("MachineContext::exchange: engine aborted");
   }
-#if KM_TRACING_ENABLED
   if (trace_) trace_->end_barrier(trace_->now_ns());
-#endif
   std::vector<Message> result = std::move(stashed_);
   stashed_.clear();
   engine_->drain_inbound(*this, result);
-#if KM_TRACING_ENABLED
   if (trace_) trace_->end_deliver(trace_->now_ns());
-#endif
   return result;
 }
 
@@ -256,16 +237,12 @@ bool MachineContext::all_reduce_or(bool value) {
 Engine::Engine(std::size_t k, EngineConfig config)
     : k_(k),
       config_(std::move(config)),
-      network_(k, config_.bandwidth_bits),
+      frame_threshold_(framed_payload_default_bytes(config_.bandwidth_bits)),
       barrier_(k),
       node_accums_(barrier_.node_count()) {
   if (k_ < 1) throw std::invalid_argument("Engine: k must be >= 1");
-  // Resolve the framing threshold once, here, so every consumer of
-  // config() (should_frame, tests poking at engine.config()) sees the
-  // concrete policy instead of the auto sentinel.
-  if (config_.framed_payload_max_bytes == kFramedPayloadAuto) {
-    config_.framed_payload_max_bytes =
-        framed_payload_default_bytes(config_.bandwidth_bits);
+  if (config_.bandwidth_bits < 1) {
+    throw std::invalid_argument("Engine: bandwidth must be >= 1 bit");
   }
   for (NodeAccum& acc : node_accums_) {
     acc.recv_bits.assign(k_, 0);
@@ -287,14 +264,12 @@ Metrics Engine::run(const Program& program) {
     ~ContextsGuard() { engine.contexts_.clear(); }
   } guard{*this};
   trace_.reset();  // last run's trace dies here whatever config says now
-#if KM_TRACING_ENABLED
   if (config_.trace) {
     trace_ = std::make_shared<TraceSession>(k_, config_.trace_links);
     for (std::size_t i = 0; i < k_; ++i) {
       contexts_[i]->trace_ = &trace_->machine(i);
     }
   }
-#endif
   // Single-threaded prologue: no machine thread exists yet, so this
   // thread trivially has fold-phase exclusivity over the metrics and
   // accumulators (the phantom acquire is free and keeps the guarded
@@ -330,7 +305,7 @@ Metrics Engine::run(const Program& program) {
     // TreeBarrier::released() for it; when a worker's whole block is
     // parked it futex-waits on the barrier's sense word (the only event
     // that can make a parked machine runnable).
-    Executor executor(k_, config_.workers, config_.fiber_stack_bytes,
+    Executor executor(k_, config_.workers,
                       IdleHooks{.epoch = &Engine::idle_epoch,
                                 .wait = &Engine::idle_wait,
                                 .arg = this});
@@ -350,9 +325,7 @@ Metrics Engine::run(const Program& program) {
       std::chrono::duration<double, std::milli>(end - start).count();
   metrics_.pool = buffer_pool_counters().since(pool_baseline);
   metrics_.payload_pool = payload_pool_counters().since(payload_baseline);
-#if KM_TRACING_ENABLED
   if (trace_) metrics_.timing = trace_->summarize();
-#endif
   const Metrics result = metrics_;
   barrier_.fold_phase.release();
 
@@ -366,23 +339,19 @@ Metrics Engine::run(const Program& program) {
 }
 
 void Engine::machine_main(const Program& program, std::size_t who) {
-#if KM_TRACING_ENABLED
   // Span origin on the machine's own fiber, so the first compute span
   // excludes pool startup latency.
   if (contexts_[who]->trace_) contexts_[who]->trace_->thread_begin();
-#endif
   try {
     program(*contexts_[who]);
   } catch (...) {
     record_first_error(std::current_exception());
   }
-#if KM_TRACING_ENABLED
   // The compute after the machine's last exchange() (all of it, for a
   // program that never exchanges) gets its own trailing span.
   if (MachineTraceBuffer* trace = contexts_[who]->trace_) {
     trace->thread_end(trace->now_ns());
   }
-#endif
   contexts_[who]->finished_ = true;  // published by the next arrival
   finished_count_.fetch_add(1, std::memory_order_release);
   // Keep participating in barriers until the engine stops, so machines
@@ -458,7 +427,6 @@ void Engine::fold_node(std::size_t node, bool leaf, std::size_t child_begin,
     for (std::size_t m = child_begin; m < child_end; ++m) {
       MachineContext& from = *contexts_[m];
       if (from.row_msgs_ == 0) continue;
-#if KM_TRACING_ENABLED
       if (trace_ && trace_->links_enabled()) {
         // Snapshot the row before the zeroing below destroys it.  Leaf
         // folders own disjoint machine ranges, so concurrent folders
@@ -467,7 +435,6 @@ void Engine::fold_node(std::size_t node, bool leaf, std::size_t child_begin,
         trace_->fold_gate.assert_held();
         trace_->record_link_row(m, from.out_bits_.data());
       }
-#endif
       acc.bits += from.row_bits_;
       acc.msgs += from.row_msgs_;
       acc.max_link = std::max(acc.max_link, from.row_max_);
@@ -511,13 +478,15 @@ bool Engine::finalize_superstep() {
     if (config_.barrier_fault_injection) {
       config_.barrier_fault_injection(metrics_.supersteps);
     }
-    DeliveryStats stats;
-    stats.messages = root.msgs;
-    stats.bits = root.bits;
-    stats.max_link_bits = root.max_link;
+    SuperstepStats stats{.superstep = metrics_.supersteps,
+                         .messages = root.msgs,
+                         .bits = root.bits,
+                         .max_link_bits = root.max_link};
     if (root.msgs > 0) {
-      stats.any = true;
-      stats.rounds = network_.rounds_for(stats.max_link_bits);
+      // Section 1.1's cost model: the busiest link carries B bits per
+      // round, and a superstep that moved anything costs at least one.
+      stats.rounds = std::max<std::uint64_t>(
+          1, ceil_div(root.max_link, config_.bandwidth_bits));
       for (std::size_t dst = 0; dst < k_; ++dst) {
         if (root.recv_msgs[dst] == 0) continue;
         metrics_.recv_bits_per_machine[dst] += root.recv_bits[dst];
@@ -533,24 +502,16 @@ bool Engine::finalize_superstep() {
         finished_count_.load(std::memory_order_acquire) == k_;
     // The final barrier episode where every machine has already finished
     // (the drain pass) is bookkeeping, not a superstep of the algorithm.
-    if (!(all_finished && !stats.any)) {
-      if (config_.record_timeline) {
-        metrics_.timeline.push_back({.superstep = metrics_.supersteps,
-                                     .rounds = stats.rounds,
-                                     .messages = stats.messages,
-                                     .bits = stats.bits,
-                                     .max_link_bits = stats.max_link_bits});
-      }
-#if KM_TRACING_ENABLED
+    if (!(all_finished && stats.messages == 0)) {
+      if (config_.record_timeline) metrics_.timeline.push_back(stats);
       if (trace_) {
         // Root finalizer == sole holder of the fold phase; one counter
         // sample (and link matrix, if any) per counted superstep.
         trace_->fold_gate.assert_held();
-        trace_->finalize_superstep(metrics_.supersteps, stats.rounds,
+        trace_->finalize_superstep(stats.superstep, stats.rounds,
                                    stats.messages, stats.bits,
                                    stats.max_link_bits);
       }
-#endif
       ++metrics_.supersteps;
     }
     metrics_.rounds += stats.rounds;

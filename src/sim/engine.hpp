@@ -4,7 +4,8 @@
 // executing the same `program` (SPMD, like an MPI rank program).  A
 // machine communicates by buffering messages with ctx.send() and calling
 // ctx.exchange(), which is a synchronization point for *all* machines: the
-// engine charges rounds per the bandwidth model (see sim/network.hpp) and
+// engine charges rounds per the bandwidth model (Section 1.1: a superstep
+// costs max over links of ceil(bits / B) rounds, see sim/metrics.hpp) and
 // returns each machine the messages addressed to it.  Local computation
 // between exchanges is free, as in the paper.
 //
@@ -24,10 +25,8 @@
 //    into a per-destination LinkOut owned by the sending machine and
 //    accumulates that link's bit/message counters on the fly, so by the
 //    time a machine arrives at the barrier its outbound traffic is fully
-//    bucketed and costed.  Small payloads (<=
-//    EngineConfig::framed_payload_max_bytes, by default derived from B
-//    via framed_payload_default_bytes() in sim/message.hpp; 0 disables
-//    framing)
+//    bucketed and costed.  Small payloads (<= the threshold
+//    framed_payload_default_bytes() in sim/message.hpp derives from B)
 //    produced by the Writer/vector/span overloads are
 //    *framed* from the link's second message of the superstep onward:
 //    their bytes are appended to one length-prefixed frame buffer per
@@ -98,7 +97,6 @@
 #include "util/annotations.hpp"
 #include "sim/message.hpp"
 #include "sim/metrics.hpp"
-#include "sim/network.hpp"
 #include "util/rng.hpp"
 #include "util/serialize.hpp"
 
@@ -114,9 +112,9 @@ struct EngineConfig {
   /// machine per superstep) and per-superstep counter events into a
   /// TraceSession (sim/trace.hpp), surfaced via Engine::trace_session()
   /// and Metrics::timing.  Same opt-in pattern as record_timeline: off
-  /// means one predictable null-pointer branch per seam (exactly zero
-  /// when compiled with -DKM_DISABLE_TRACING).  Tracing never perturbs
-  /// rounds/bits/delivery (tests/test_trace.cpp proves byte-identity).
+  /// means one predictable null-pointer branch per seam.  Tracing never
+  /// perturbs rounds/bits/delivery (tests/test_trace.cpp proves
+  /// byte-identity).
   bool trace = false;
   /// With `trace`: also record the opt-in per-superstep k x k link-bits
   /// matrix (O(k^2) memory per traffic-carrying superstep).
@@ -127,17 +125,6 @@ struct EngineConfig {
   /// first error and propagated down the barrier tree as a stop, never a
   /// deadlock.
   std::function<void(std::uint64_t superstep)> barrier_fault_injection = {};
-  /// Largest Writer/vector payload (bytes) the message plane batches into
-  /// a per-link frame instead of giving it a refcounted buffer of its
-  /// own; 0 disables framing entirely.  The default kFramedPayloadAuto
-  /// derives the threshold from B at engine construction —
-  /// framed_payload_default_bytes(bandwidth_bits), one round's worth of
-  /// bytes clamped to [64, 4096] — so the knob only needs touching to
-  /// pin an explicit policy.  Pure transport policy either way: rounds,
-  /// bits, and delivery order are byte-identical at every setting (the
-  /// Framing property tests sweep this knob, including the derived
-  /// value, to prove it).
-  std::size_t framed_payload_max_bytes = kFramedPayloadAuto;
   /// OS threads the executor multiplexes the k machine fibers over; 0
   /// means hardware concurrency.  The executor uses at most this many,
   /// and every worker owns at least one machine (sim/executor.hpp).
@@ -145,11 +132,6 @@ struct EngineConfig {
   /// setting (like `trace`, it is deliberately absent from serialized
   /// run parameters).
   std::size_t workers = 0;
-  /// Stack reservation per machine fiber (rounded up to whole pages, one
-  /// guard page added); 0 means kDefaultFiberStackBytes.  Address space,
-  /// not memory: pages are committed lazily, so huge k stays cheap until
-  /// a program actually recurses deeply.
-  std::size_t fiber_stack_bytes = 0;
 
   /// Bandwidth used throughout the paper: B = Theta(polylog n).
   /// We use B = 16 * ceil(log2 n)^2 bits (a handful of O(log n)-bit
@@ -218,7 +200,7 @@ class MachineContext {
   /// Charges the link (unbatched formula) and updates the sender's row
   /// aggregates.  Every send path funnels through here.
   void account_send(std::size_t dst, std::uint64_t payload_bytes);
-  /// Transport policy: payloads up to config().framed_payload_max_bytes
+  /// Transport policy: payloads up to framed_payload_default_bytes(B)
   /// are framed from the link's second message onward (one message has
   /// nothing to amortize the copy against).  Never affects accounting or
   /// delivery order.
@@ -259,6 +241,7 @@ using Program = std::function<void(MachineContext&)>;
 
 class Engine {
  public:
+  /// Throws std::invalid_argument when k or config.bandwidth_bits is 0.
   Engine(std::size_t k, EngineConfig config = {});
 
   std::size_t k() const noexcept { return k_; }
@@ -272,8 +255,8 @@ class Engine {
   Metrics run(const Program& program);
 
   /// The last run's trace (EngineConfig::trace), or null when the run was
-  /// untraced or tracing was compiled out.  Valid after run() returns;
-  /// shared so results can outlive the engine (RunResult::trace).
+  /// untraced.  Valid after run() returns; shared so results can outlive
+  /// the engine (RunResult::trace).
   std::shared_ptr<const TraceSession> trace_session() const noexcept {
     return trace_;
   }
@@ -336,7 +319,9 @@ class Engine {
 
   std::size_t k_;
   EngineConfig config_;
-  Network network_;
+  /// Largest payload (bytes) should_frame() batches into a link's frame:
+  /// framed_payload_default_bytes(config_.bandwidth_bits).
+  std::size_t frame_threshold_;
 
   std::vector<std::unique_ptr<MachineContext>> contexts_;
 

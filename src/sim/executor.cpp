@@ -26,10 +26,8 @@ std::size_t Executor::default_worker_count() {
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
 
-Executor::Executor(std::size_t machines, std::size_t workers,
-                   std::size_t fiber_stack_bytes, IdleHooks idle)
+Executor::Executor(std::size_t machines, std::size_t workers, IdleHooks idle)
     : idle_(idle) {
-  if (fiber_stack_bytes == 0) fiber_stack_bytes = kDefaultFiberStackBytes;
   if (workers == 0) workers = default_worker_count();
   if (machines == 0) machines = 1;
   workers_ = workers < machines ? workers : machines;
@@ -38,10 +36,7 @@ Executor::Executor(std::size_t machines, std::size_t workers,
   // W = 4 gives blocks of 2: three suffice); drop the workers that would
   // own nothing, so every worker owns at least one machine.
   workers_ = (machines + block_ - 1) / block_;
-  machines_.reserve(machines);
-  for (std::size_t i = 0; i < machines; ++i) {
-    machines_.emplace_back(fiber_stack_bytes);
-  }
+  machines_.resize(machines);
   worker_state_.resize(workers_);
 }
 

@@ -69,9 +69,9 @@ class Executor {
   /// reported by worker_count(), is at most `workers` and at most
   /// `machines`, and every worker owns at least one machine: the block
   /// size is ceil(machines / workers), and workers whose block would be
-  /// empty are dropped.
-  Executor(std::size_t machines, std::size_t workers,
-           std::size_t fiber_stack_bytes, IdleHooks idle);
+  /// empty are dropped.  Every machine fiber gets a
+  /// kDefaultFiberStackBytes stack.
+  Executor(std::size_t machines, std::size_t workers, IdleHooks idle);
 
   std::size_t worker_count() const noexcept { return workers_; }
   std::size_t machine_count() const noexcept { return machines_.size(); }
@@ -93,7 +93,7 @@ class Executor {
 
  private:
   struct Machine {
-    FiberStack stack;
+    FiberStack stack{kDefaultFiberStackBytes};
     // Fiber context storage; constructed on the owning worker thread so
     // the TSan fiber state is created there.  Indirect because
     // FiberContext is not movable.
@@ -102,7 +102,6 @@ class Executor {
     void* ready_arg = nullptr;
     bool parked = false;
     bool done = false;
-    explicit Machine(std::size_t stack_bytes) : stack(stack_bytes) {}
   };
 
   void worker_loop(std::size_t w);

@@ -34,10 +34,9 @@
 
 namespace km {
 
-/// Default stack reservation per machine fiber
-/// (EngineConfig::fiber_stack_bytes).  256 KiB holds every workload in
-/// the tree with headroom; deep per-machine recursion needs a bigger
-/// setting, not a bigger default.
+/// Stack reservation per machine fiber.  256 KiB holds every workload in
+/// the tree with headroom; pages are committed lazily, so huge k costs
+/// address space, not memory, until a program actually recurses deeply.
 inline constexpr std::size_t kDefaultFiberStackBytes = 256 * 1024;
 
 /// Guard-paged stack for one fiber.  Movable, not copyable.

@@ -190,34 +190,24 @@ struct Message {
   }
 };
 
-/// Sentinel for EngineConfig::framed_payload_max_bytes meaning "derive
-/// the framing threshold from the per-link bandwidth B" — see
-/// framed_payload_default_bytes().  The explicit knob remains an
-/// override: any other value (including 0 = framing off) is used as-is.
-inline constexpr std::size_t kFramedPayloadAuto =
-    static_cast<std::size_t>(-1);
-
-/// Clamp range for the derived framing threshold.  The floor keeps
-/// framing alive at tiny B (one varint-prefixed entry must still be
-/// worth batching); the ceiling stops huge-B configurations from
-/// memcpy-ing multi-KiB payloads that amortize an allocation fine on
-/// their own.
+/// Clamp range for the framing threshold.  The floor keeps framing alive
+/// at tiny B (one varint-prefixed entry must still be worth batching);
+/// the ceiling stops huge-B configurations from memcpy-ing multi-KiB
+/// payloads that amortize an allocation fine on their own.
 inline constexpr std::size_t kFramedPayloadMinDefaultBytes = 64;
 inline constexpr std::size_t kFramedPayloadMaxDefaultBytes = 4096;
 
-/// Derived default for EngineConfig::framed_payload_max_bytes: the
-/// largest payload (bytes) the message plane batches into a per-link
-/// frame instead of giving it a refcounted buffer of its own.  Framing
-/// exists for messages far below the per-link round budget — a payload
-/// that fills a round alone amortizes its buffer — so the default is
-/// one round's worth of bytes, B/8, clamped to
+/// The framing threshold at per-link bandwidth B: the largest payload
+/// (bytes) the message plane batches into a per-link frame instead of
+/// giving it a refcounted buffer of its own.  Framing exists for
+/// messages far below the per-link round budget — a payload that fills
+/// a round alone amortizes its buffer — so the threshold is one round's
+/// worth of bytes, B/8, clamped to
 /// [kFramedPayloadMinDefaultBytes, kFramedPayloadMaxDefaultBytes].
-/// (The static 256-byte default this replaces sat at exactly B/8 for
-/// the common B=2048 microbench setting; now every B gets that fit.)
-/// Applies to the Writer/vector send overloads, from a link's second
-/// message of the superstep onward; PayloadRef sends (including
+/// Applies to the Writer/vector/span send overloads, from a link's
+/// second message of the superstep onward; PayloadRef sends (including
 /// broadcast) always stay zero-copy shared.  Purely a transport policy:
-/// accounting never depends on it, whatever the threshold resolves to.
+/// accounting never depends on it.
 constexpr std::size_t framed_payload_default_bytes(
     std::uint64_t bandwidth_bits) noexcept {
   const std::uint64_t round_bytes = bandwidth_bits / 8;

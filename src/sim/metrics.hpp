@@ -1,6 +1,6 @@
 // Cost accounting for a k-machine execution.
 //
-// `rounds` is the paper's cost measure: for every superstep, the network
+// `rounds` is the paper's cost measure: for every superstep, the engine
 // charges max over ordered links of ceil(bits on link / B) rounds (at
 // least 1 if any message was sent).  `recv_bits_per_machine` is the
 // empirical counterpart of the information cost IC in the General Lower

@@ -49,17 +49,6 @@
 #include "sim/metrics.hpp"
 #include "util/annotations.hpp"
 
-// Compile-time kill switch: building with -DKM_DISABLE_TRACING removes
-// every tracing hook from the engine (EngineConfig::trace then has no
-// effect and Engine::trace_session() stays null).  The default build
-// keeps the hooks; with tracing not requested at runtime they cost one
-// predictable null-pointer branch per seam.
-#if defined(KM_DISABLE_TRACING)
-#define KM_TRACING_ENABLED 0
-#else
-#define KM_TRACING_ENABLED 1
-#endif
-
 namespace km {
 
 /// The four wall-time phases of a (machine, superstep).

@@ -1,11 +1,12 @@
-# HelpFormsSmoke: every usage form that `km_run --help` or
-# `km_serve --help` advertises with `[--frame-bytes auto]` must accept
-# that flag.  The forms are read from the help texts themselves, so a
-# new or changed form is covered without editing this script: each one
-# runs with its required arguments (placeholders W, SPEC, PATH and
-# K1,K2,... filled in with a small connectivity scenario) plus
-# `--frame-bytes auto`, and must exit 0.  The km_serve forms run against
-# a daemon started for the purpose and shut down afterwards.
+# HelpFormsSmoke: every scenario form that `km_run --help` or
+# `km_serve --help` advertises (any form taking `--workload W`: km_run
+# run, km_run sweep, km_serve request) must run as written.  The forms
+# are read from the help texts themselves, so a new or changed form is
+# covered without editing this script: each one runs with its required
+# arguments only (placeholders W, SPEC, PATH and K1,K2,... filled in
+# with a small connectivity scenario) and must exit 0.  The km_serve
+# forms run against a daemon started for the purpose and shut down
+# afterwards.
 #
 # Invoked by CTest (see tests/CMakeLists.txt) as:
 #   cmake -DKM_RUN=<km_run> -DKM_SERVE=<km_serve> -DOUT_DIR=<scratch dir>
@@ -24,9 +25,8 @@ endforeach()
 set(socket ${OUT_DIR}/serve.sock)
 
 # Sets `out` to the command lines (one string each, arguments separated
-# by spaces) of every form in `tool`'s --help text that advertises
-# --frame-bytes auto.
-function(frame_bytes_forms tool out)
+# by spaces) of every scenario form in `tool`'s --help text.
+function(scenario_forms tool out)
   execute_process(COMMAND ${tool} --help
     OUTPUT_VARIABLE help_out ERROR_VARIABLE help_err RESULT_VARIABLE help_rc)
   if(NOT help_rc EQUAL 0)
@@ -40,7 +40,7 @@ function(frame_bytes_forms tool out)
          "${help}")
   set(commands "")
   foreach(form IN LISTS forms)
-    string(FIND "${form}" "--frame-bytes auto" at)
+    string(FIND "${form}" "--workload W" at)
     if(at EQUAL -1)
       continue()
     endif()
@@ -64,11 +64,11 @@ function(frame_bytes_forms tool out)
       endif()
       string(APPEND command " ${arg}")
     endforeach()
-    list(APPEND commands "${command} --frame-bytes auto")
+    list(APPEND commands "${command}")
   endforeach()
   if(NOT commands)
     message(FATAL_ERROR
-      "${tool} --help advertises no form with --frame-bytes auto:\n${help}")
+      "${tool} --help advertises no form with --workload W:\n${help}")
   endif()
   set(${out} "${commands}" PARENT_SCOPE)
 endfunction()
@@ -107,7 +107,7 @@ if(STAGE STREQUAL "client")
   if(NOT up)
     message(FATAL_ERROR "km_serve daemon never answered a ping on ${socket}")
   endif()
-  frame_bytes_forms(${KM_SERVE} serve_forms)
+  scenario_forms(${KM_SERVE} serve_forms)
   run_forms("${serve_forms}" failures)
   execute_process(COMMAND ${KM_SERVE} shutdown --socket ${socket}
     OUTPUT_QUIET ERROR_QUIET)
@@ -120,7 +120,7 @@ endif()
 file(REMOVE_RECURSE ${OUT_DIR})
 file(MAKE_DIRECTORY ${OUT_DIR})
 
-frame_bytes_forms(${KM_RUN} run_forms)
+scenario_forms(${KM_RUN} run_forms)
 run_forms("${run_forms}" failures)
 if(failures)
   message(FATAL_ERROR "km_run rejected an advertised form:${failures}")

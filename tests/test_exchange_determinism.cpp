@@ -209,10 +209,13 @@ TEST(PayloadRef, EmptyPayloadHasNoOwner) {
 // Per-link frame batching
 // ---------------------------------------------------------------------------
 
-// The framing tests pin this explicit threshold (the static default the
-// derived-from-B policy replaced) so the frame/no-frame split is
-// independent of the engine's bandwidth setting.
-constexpr std::size_t kTestFrameBytes = 256;
+// The framing threshold follows from B (framed_payload_default_bytes in
+// sim/message.hpp); most framing tests run at this bandwidth, whose
+// threshold is 256 bytes.
+constexpr std::uint64_t kTestBandwidth = 2048;
+constexpr std::size_t kTestFrameBytes =
+    framed_payload_default_bytes(kTestBandwidth);
+static_assert(kTestFrameBytes == 256);
 
 // Sender and receiver independently recompute each link's message plan
 // from pure hashes, so the receiver can verify counts, order, and bytes
@@ -253,22 +256,19 @@ std::vector<std::byte> pattern_bytes(std::uint64_t seed, std::size_t len) {
 }
 
 // The frame batching property test: random message sizes/counts per
-// link, several supersteps, at one framing-threshold setting.  Delivery
-// must preserve ascending source and per-link send order with exact
-// bytes, and every superstep's rounds/bits/max_link_bits must equal the
-// *unbatched* formula (sum per message of kHeaderBits + 8 * payload),
-// i.e. batching is invisible to the cost model — whatever the threshold
-// and whichever send overload carried each message.
-void run_framing_property_trial(std::uint64_t trial,
-                                std::size_t frame_bytes) {
+// link, several supersteps, at one bandwidth (and so one framing
+// threshold).  Delivery must preserve ascending source and per-link send
+// order with exact bytes, and every superstep's rounds/bits/max_link_bits
+// must equal the *unbatched* formula (sum per message of kHeaderBits +
+// 8 * payload), i.e. batching is invisible to the cost model — whatever
+// the threshold and whichever send overload carried each message.
+void run_framing_property_trial(std::uint64_t trial, std::uint64_t bandwidth) {
   constexpr std::size_t kMachines = 6;
   constexpr int kSupersteps = 4;
-  constexpr std::uint64_t kBandwidth = 2048;
   {
-    Engine engine(kMachines, {.bandwidth_bits = kBandwidth,
+    Engine engine(kMachines, {.bandwidth_bits = bandwidth,
                               .seed = trial,
-                              .record_timeline = true,
-                              .framed_payload_max_bytes = frame_bytes});
+                              .record_timeline = true});
     const auto metrics = engine.run([&](MachineContext& ctx) {
       for (int step = 0; step < kSupersteps; ++step) {
         for (std::size_t dst = 0; dst < kMachines; ++dst) {
@@ -338,7 +338,7 @@ void run_framing_property_trial(std::uint64_t trial,
       const std::uint64_t rounds =
           msgs == 0 ? 0
                     : std::max<std::uint64_t>(
-                          1, (max_link + kBandwidth - 1) / kBandwidth);
+                          1, (max_link + bandwidth - 1) / bandwidth);
       EXPECT_EQ(t.rounds, rounds) << "step " << step;
     }
   }
@@ -346,60 +346,45 @@ void run_framing_property_trial(std::uint64_t trial,
 
 TEST(Framing, RandomSizesMatchUnbatchedAccountingAndOrder) {
   for (std::uint64_t trial = 1; trial <= 3; ++trial) {
-    run_framing_property_trial(trial, kTestFrameBytes);
+    run_framing_property_trial(trial, kTestBandwidth);
   }
 }
 
 TEST(Framing, ThresholdSweepKeepsUnbatchedAccounting) {
-  // EngineConfig::framed_payload_max_bytes is a pure transport knob: the
-  // same property must hold with framing disabled (0), at a tiny
-  // threshold that leaves most messages unframed (64), at the classic
-  // static default (256), at one that frames every planned size (1024),
-  // at the value the auto policy derives for this bandwidth, and with
-  // the auto sentinel itself (resolved inside the engine).
-  for (const std::size_t frame_bytes :
-       {std::size_t{0}, std::size_t{64}, std::size_t{256}, std::size_t{1024},
-        framed_payload_default_bytes(2048), kFramedPayloadAuto}) {
-    run_framing_property_trial(/*trial=*/7, frame_bytes);
+  // The framing threshold is a pure transport policy: the same property
+  // must hold at the floor (B=8: threshold 64, most planned sizes ride
+  // unframed), at 256 (B=2048), at 1024 (B=8192: every planned size is
+  // framed) and at the ceiling (B=2^20: threshold 4096).
+  for (const std::uint64_t bandwidth :
+       {std::uint64_t{8}, std::uint64_t{2048}, std::uint64_t{8192},
+        std::uint64_t{1} << 20}) {
+    run_framing_property_trial(/*trial=*/7, bandwidth);
   }
 }
 
 TEST(Framing, AutoThresholdDerivesFromBandwidth) {
-  // The derived default is one round's worth of bytes, clamped: B/8
-  // inside [kFramedPayloadMinDefaultBytes, kFramedPayloadMaxDefaultBytes].
+  // The threshold is one round's worth of bytes, clamped: B/8 inside
+  // [kFramedPayloadMinDefaultBytes, kFramedPayloadMaxDefaultBytes].
   EXPECT_EQ(framed_payload_default_bytes(2048), 256u);
   EXPECT_EQ(framed_payload_default_bytes(1600), 200u);  // B = 16 * 10^2
   EXPECT_EQ(framed_payload_default_bytes(0), kFramedPayloadMinDefaultBytes);
   EXPECT_EQ(framed_payload_default_bytes(8), kFramedPayloadMinDefaultBytes);
+  EXPECT_EQ(framed_payload_default_bytes(8192), 1024u);
   EXPECT_EQ(framed_payload_default_bytes(1u << 20),
             kFramedPayloadMaxDefaultBytes);
-  // An engine built with the auto sentinel (the EngineConfig default)
-  // exposes the resolved concrete threshold, never the sentinel.
-  Engine derived(2, {.bandwidth_bits = 1600, .seed = 1});
-  EXPECT_EQ(derived.config().framed_payload_max_bytes, 200u);
-  // An explicit setting — including 0 = off — is used verbatim.
-  Engine off(2, {.bandwidth_bits = 1600,
-                 .seed = 1,
-                 .framed_payload_max_bytes = 0});
-  EXPECT_EQ(off.config().framed_payload_max_bytes, 0u);
-  Engine pinned(2, {.bandwidth_bits = 1600,
-                    .seed = 1,
-                    .framed_payload_max_bytes = 31});
-  EXPECT_EQ(pinned.config().framed_payload_max_bytes, 31u);
 }
 
-TEST(Framing, ThresholdKnobControlsTransportSharing) {
-  // Observable transport effect of the knob: payloads of 300 bytes ride
-  // the shared per-link frame at threshold 1024, and nothing shares at
-  // threshold 0 — while metrics stay identical across all settings.
-  constexpr std::size_t kPayload = 300;  // past the 256-byte default
+TEST(Framing, BandwidthControlsTransportSharing) {
+  // Observable transport effect of B: payloads of 300 bytes ride the
+  // shared per-link frame at B=8192 (threshold 1024) and not at B=2048
+  // (threshold 256) — while bits, messages and link loads stay equal.
+  constexpr std::size_t kPayload = 300;
   std::vector<Metrics> all;
-  for (const std::size_t frame_bytes :
-       {std::size_t{0}, std::size_t{256}, std::size_t{1024}}) {
-    Engine engine(2, {.bandwidth_bits = 1 << 16,
+  for (const std::uint64_t bandwidth :
+       {std::uint64_t{2048}, std::uint64_t{8192}}) {
+    Engine engine(2, {.bandwidth_bits = bandwidth,
                       .seed = 11,
-                      .record_timeline = true,
-                      .framed_payload_max_bytes = frame_bytes});
+                      .record_timeline = true});
     all.push_back(engine.run([&](MachineContext& ctx) {
       for (int i = 0; i < 3; ++i) {
         Writer w;
@@ -408,15 +393,13 @@ TEST(Framing, ThresholdKnobControlsTransportSharing) {
       }
       const auto in = ctx.exchange();
       ASSERT_EQ(in.size(), 3u);
-      const bool expect_shared = frame_bytes >= kPayload;
+      const bool expect_shared =
+          framed_payload_default_bytes(bandwidth) >= kPayload;
       EXPECT_EQ(in[1].payload.shares_buffer_with(in[2].payload),
                 expect_shared)
-          << "frame_bytes=" << frame_bytes;
-      // Threshold 0 must behave like the pre-knob unframed plane: every
-      // message owns its buffer.
-      if (frame_bytes == 0) {
-        EXPECT_FALSE(in[0].payload.shares_buffer_with(in[1].payload));
-      }
+          << "B=" << bandwidth;
+      // A link's first message never rides the frame.
+      EXPECT_FALSE(in[0].payload.shares_buffer_with(in[1].payload));
       for (const Message& msg : in) {
         ASSERT_EQ(msg.payload.size(), kPayload);
         for (const std::byte b : msg.payload) {
@@ -425,13 +408,9 @@ TEST(Framing, ThresholdKnobControlsTransportSharing) {
       }
     }));
   }
-  for (std::size_t i = 1; i < all.size(); ++i) {
-    EXPECT_EQ(all[i].rounds, all[0].rounds);
-    EXPECT_EQ(all[i].messages, all[0].messages);
-    EXPECT_EQ(all[i].bits, all[0].bits);
-    EXPECT_EQ(all[i].max_link_bits_superstep, all[0].max_link_bits_superstep);
-    EXPECT_EQ(all[i].timeline, all[0].timeline);
-  }
+  EXPECT_EQ(all[1].messages, all[0].messages);
+  EXPECT_EQ(all[1].bits, all[0].bits);
+  EXPECT_EQ(all[1].max_link_bits_superstep, all[0].max_link_bits_superstep);
 }
 
 TEST(Framing, SmallPayloadsShareOneFrameBufferPerLink) {
@@ -440,9 +419,7 @@ TEST(Framing, SmallPayloadsShareOneFrameBufferPerLink) {
   // buffer.  The link's first message takes the classic zero-copy path
   // (nothing to amortize the copy against), and a payload past the
   // framing threshold always gets its own buffer.
-  Engine engine(2, {.bandwidth_bits = 1 << 16,
-                    .seed = 5,
-                    .framed_payload_max_bytes = kTestFrameBytes});
+  Engine engine(2, {.bandwidth_bits = kTestBandwidth, .seed = 5});
   engine.run([&](MachineContext& ctx) {
     if (ctx.id() == 0) {
       for (std::uint64_t i = 0; i < 3; ++i) {
@@ -480,9 +457,7 @@ TEST(Framing, EmptyAndThresholdBoundaryPayloads) {
   // trip, and total bits match the unbatched formula.
   const std::vector<std::size_t> sizes = {0, 1, kTestFrameBytes,
                                           kTestFrameBytes + 1};
-  Engine engine(2, {.bandwidth_bits = 1 << 16,
-                    .seed = 6,
-                    .framed_payload_max_bytes = kTestFrameBytes});
+  Engine engine(2, {.bandwidth_bits = kTestBandwidth, .seed = 6});
   const auto metrics = engine.run([&](MachineContext& ctx) {
     for (std::size_t i = 0; i < sizes.size(); ++i) {
       Writer w;

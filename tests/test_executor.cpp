@@ -142,15 +142,15 @@ TEST(FiberSwitch, FiberStackSupportsDeepCallChains) {
 TEST(ExecutorPool, WorkerCountResolvesAndClamps) {
   EXPECT_GE(Executor::default_worker_count(), 1u);
 
-  const Executor clamped(4, 100, 0, IdleHooks{});
+  const Executor clamped(4, 100, IdleHooks{});
   EXPECT_EQ(clamped.worker_count(), 4u);
   EXPECT_EQ(clamped.machine_count(), 4u);
 
-  const Executor defaulted(4, 0, 0, IdleHooks{});
+  const Executor defaulted(4, 0, IdleHooks{});
   EXPECT_GE(defaulted.worker_count(), 1u);
   EXPECT_LE(defaulted.worker_count(), 4u);
 
-  const Executor single(9, 2, 0, IdleHooks{});
+  const Executor single(9, 2, IdleHooks{});
   EXPECT_EQ(single.worker_count(), 2u);
 }
 
@@ -163,7 +163,7 @@ TEST(ExecutorPool, BlockAssignmentIsContiguousAndMonotone) {
   for (const auto& [machines, workers] : kPoolShapes) {
     SCOPED_TRACE("k=" + std::to_string(machines) +
                  " W=" + std::to_string(workers));
-    const Executor ex(machines, workers, 0, IdleHooks{});
+    const Executor ex(machines, workers, IdleHooks{});
     EXPECT_LE(ex.worker_count(), workers);
     EXPECT_EQ(ex.worker_of(0), 0u);
     std::vector<std::size_t> owned(ex.worker_count(), 0);
@@ -184,7 +184,7 @@ TEST(ExecutorPool, BlockAssignmentIsContiguousAndMonotone) {
 TEST(ExecutorPool, EveryMachineRunsExactlyOnceAtAnyWorkerCount) {
   for (const auto& [machines, workers] : kPoolShapes) {
     std::vector<std::atomic<int>> runs(machines);
-    Executor ex(machines, workers, 0, IdleHooks{});
+    Executor ex(machines, workers, IdleHooks{});
     ex.run([&](std::size_t m) { runs[m].fetch_add(1); });
     for (std::size_t m = 0; m < machines; ++m) {
       EXPECT_EQ(runs[m].load(), 1)
@@ -227,8 +227,7 @@ TEST(ExecutorPool, ParkedMachinesResumeAcrossWorkersInDependencyOrder) {
     std::vector<std::size_t> order;
     std::mutex mu;
 
-    Executor ex(kMachines, workers, 0,
-                IdleHooks{&turn_epoch, &turn_wait, &st});
+    Executor ex(kMachines, workers, IdleHooks{&turn_epoch, &turn_wait, &st});
     ex.run([&](std::size_t m) {
       while (st.turn.load(std::memory_order_acquire) != m) {
         ex.park(m, &turn_ready, &st);
@@ -250,7 +249,7 @@ TEST(ExecutorPool, ParkedMachinesResumeAcrossWorkersInDependencyOrder) {
 TEST(ExecutorPool, FirstExceptionRethrownAfterOthersComplete) {
   constexpr std::size_t kMachines = 16;
   std::atomic<int> completed{0};
-  Executor ex(kMachines, 4, 0, IdleHooks{});
+  Executor ex(kMachines, 4, IdleHooks{});
   EXPECT_THROW(ex.run([&](std::size_t m) {
                  if (m == 5) throw std::runtime_error("machine 5 boom");
                  completed.fetch_add(1);
@@ -262,9 +261,9 @@ TEST(ExecutorPool, FirstExceptionRethrownAfterOthersComplete) {
 TEST(ExecutorPool, ThousandsOfMachinesMultiplexOverTwoWorkers) {
   constexpr std::size_t kMachines = 2048;
   std::atomic<std::uint64_t> sum{0};
-  // Small stacks: 2048 x 64 KiB reserves 128 MiB of address space, and
+  // 2048 x 256 KiB default stacks reserve 512 MiB of address space, and
   // the trivial body touches almost none of it (lazy commit).
-  Executor ex(kMachines, 2, 64 * 1024, IdleHooks{});
+  Executor ex(kMachines, 2, IdleHooks{});
   ex.run([&](std::size_t m) { sum.fetch_add(m, std::memory_order_relaxed); });
   EXPECT_EQ(sum.load(), std::uint64_t{kMachines} * (kMachines - 1) / 2);
 }

@@ -120,9 +120,6 @@ TEST(ResultStore, ScenarioKeySeparatesTheParameterCell) {
   other = params;
   other.seed = params.seed + 1;
   EXPECT_NE(ResultStore::scenario_key("mst", "ds", other), base);
-  other = params;
-  other.frame_bytes = 9;
-  EXPECT_NE(ResultStore::scenario_key("mst", "ds", other), base);
   // workers and trace are execution policy: same cell, same key.
   other = params;
   other.workers = 3;
@@ -160,7 +157,7 @@ TEST(ServeProtocol, ParsesFullRunRequest) {
   std::string error;
   ASSERT_TRUE(serve::parse_request(
       R"({"op":"run","workload":"mst","dataset":"gnp:n=64,p=0.1","k":4,)"
-      R"("bandwidth":2048,"seed":9,"frame":128,"workers":2,"check":false,)"
+      R"("bandwidth":2048,"seed":9,"workers":2,"check":false,)"
       R"("timeline":false,"fresh":true})",
       req, error))
       << error;
@@ -170,21 +167,10 @@ TEST(ServeProtocol, ParsesFullRunRequest) {
   EXPECT_EQ(req.params.k, 4u);
   EXPECT_EQ(req.params.bandwidth_bits, 2048u);
   EXPECT_EQ(req.params.seed, 9u);
-  EXPECT_EQ(req.params.frame_bytes, 128u);
   EXPECT_EQ(req.params.workers, 2u);
   EXPECT_FALSE(req.params.check);
   EXPECT_FALSE(req.params.record_timeline);
   EXPECT_TRUE(req.fresh);
-}
-
-TEST(ServeProtocol, FrameAutoMapsToSentinel) {
-  Request req;
-  std::string error;
-  ASSERT_TRUE(serve::parse_request(
-      R"({"op":"run","workload":"mst","dataset":"path:n=8","frame":"auto"})",
-      req, error))
-      << error;
-  EXPECT_EQ(req.params.frame_bytes, kFramedPayloadAuto);
 }
 
 TEST(ServeProtocol, RejectsMalformedRequests) {
@@ -199,6 +185,15 @@ TEST(ServeProtocol, RejectsMalformedRequests) {
   EXPECT_FALSE(serve::parse_request(
       R"({"op":"run","workload":"mst","dataset":"d","zzz":1})", req, error));
   EXPECT_NE(error.find("zzz"), std::string::npos);
+  // The framing threshold follows from B, so "frame" is an unknown
+  // field whatever its value.
+  EXPECT_FALSE(serve::parse_request(
+      R"({"op":"run","workload":"mst","dataset":"d","frame":"auto"})", req,
+      error));
+  EXPECT_NE(error.find("frame"), std::string::npos);
+  EXPECT_FALSE(serve::parse_request(
+      R"({"op":"run","workload":"mst","dataset":"d","frame":128})", req,
+      error));
 }
 
 TEST(ServeProtocol, MetaLineShape) {

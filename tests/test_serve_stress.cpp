@@ -147,6 +147,11 @@ TEST(ServeSocket, PingStatsAndBadRequests) {
     ASSERT_TRUE(meta_ok(stats.meta));
     const JsonValue doc = parse_or_die(stats.doc);
     EXPECT_EQ(doc.find("schema")->string, "km.serve_stats/v1");
+    // The line that failed to parse is a request answered with an error.
+    const JsonValue* counts = doc.find("service");
+    ASSERT_NE(counts, nullptr);
+    EXPECT_EQ(counts->find("requests")->number, 3.0);
+    EXPECT_EQ(counts->find("errors")->number, 1.0);
   }
   server.stop();
   server.wait();

@@ -51,12 +51,6 @@ Metrics run_known(std::size_t k, bool trace, bool links,
   return m;
 }
 
-#if KM_TRACING_ENABLED
-constexpr bool kTracingBuilt = true;
-#else
-constexpr bool kTracingBuilt = false;
-#endif
-
 TEST(TraceSpans, OffByDefaultAndOffWhenNotRequested) {
   std::shared_ptr<const TraceSession> session;
   const Metrics m = run_known(4, /*trace=*/false, /*links=*/false, &session);
@@ -66,7 +60,6 @@ TEST(TraceSpans, OffByDefaultAndOffWhenNotRequested) {
 }
 
 TEST(TraceSpans, KnownProgramSpanShape) {
-  if (!kTracingBuilt) GTEST_SKIP() << "built with KM_DISABLE_TRACING";
   const std::size_t k = 4;
   std::shared_ptr<const TraceSession> session;
   const Metrics m = run_known(k, /*trace=*/true, /*links=*/false, &session);
@@ -113,7 +106,6 @@ TEST(TraceSpans, KnownProgramSpanShape) {
 }
 
 TEST(TraceSpans, ProgramWithoutExchangeRecordsOneComputeSpan) {
-  if (!kTracingBuilt) GTEST_SKIP() << "built with KM_DISABLE_TRACING";
   // Work after a machine's last exchange() must still show up as
   // compute, even when, as here, the program never exchanges at all.
   const std::size_t k = 3;
@@ -142,7 +134,6 @@ TEST(TraceSpans, ProgramWithoutExchangeRecordsOneComputeSpan) {
 }
 
 TEST(TraceSpans, TimingSummaryCoversEveryMachine) {
-  if (!kTracingBuilt) GTEST_SKIP() << "built with KM_DISABLE_TRACING";
   const std::size_t k = 5;
   const Metrics m = run_known(k, /*trace=*/true, /*links=*/false);
   ASSERT_TRUE(m.timing.enabled);
@@ -170,7 +161,6 @@ TEST(TraceSpans, TimingSummaryCoversEveryMachine) {
 }
 
 TEST(TraceSpans, CounterSamplesMatchTimeline) {
-  if (!kTracingBuilt) GTEST_SKIP() << "built with KM_DISABLE_TRACING";
   std::shared_ptr<const TraceSession> session;
   const Metrics m = run_known(4, /*trace=*/true, /*links=*/false, &session);
   ASSERT_NE(session, nullptr);
@@ -192,7 +182,6 @@ TEST(TraceSpans, CounterSamplesMatchTimeline) {
 }
 
 TEST(TraceLinks, MatricesCrossCheckTheAccounting) {
-  if (!kTracingBuilt) GTEST_SKIP() << "built with KM_DISABLE_TRACING";
   const std::size_t k = 4;
   std::shared_ptr<const TraceSession> session;
   const Metrics m = run_known(k, /*trace=*/true, /*links=*/true, &session);
@@ -242,7 +231,6 @@ TEST(TraceLinks, MatricesCrossCheckTheAccounting) {
 }
 
 TEST(TraceExport, ChromeTraceValidatesInProcess) {
-  if (!kTracingBuilt) GTEST_SKIP() << "built with KM_DISABLE_TRACING";
   const std::size_t k = 4;
   std::shared_ptr<const TraceSession> session;
   const Metrics m = run_known(k, /*trace=*/true, /*links=*/false, &session);
@@ -262,7 +250,6 @@ TEST(TraceExport, ChromeTraceValidatesInProcess) {
 }
 
 TEST(TraceExport, LinkTraceValidatesInProcess) {
-  if (!kTracingBuilt) GTEST_SKIP() << "built with KM_DISABLE_TRACING";
   const std::size_t k = 4;
   std::shared_ptr<const TraceSession> session;
   run_known(k, /*trace=*/true, /*links=*/true, &session);
@@ -371,10 +358,8 @@ TEST(TraceProperty, TracingNeverPerturbsAnyWorkload) {
     const RunResult on = run_once(*workload, dataset, /*trace=*/true);
 
     EXPECT_EQ(off.trace, nullptr) << name;
-    if (kTracingBuilt) {
-      ASSERT_NE(on.trace, nullptr) << name;
-      EXPECT_TRUE(on.metrics.timing.enabled) << name;
-    }
+    ASSERT_NE(on.trace, nullptr) << name;
+    EXPECT_TRUE(on.metrics.timing.enabled) << name;
 
     // The deterministic run identity, field by field...
     EXPECT_EQ(on.metrics.rounds, off.metrics.rounds) << name;

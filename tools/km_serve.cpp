@@ -13,9 +13,8 @@
 //       Run the daemon (foreground) until a shutdown request.
 //
 //   km_serve request --socket PATH --workload W --dataset SPEC [--k 8]
-//                    [--B 0] [--seed 1] [--frame-bytes auto]
-//                    [--workers 0] [--check true] [--timeline true]
-//                    [--fresh] [--meta] [--repeat 1]
+//                    [--B 0] [--seed 1] [--workers 0] [--check true]
+//                    [--timeline true] [--fresh] [--meta] [--repeat 1]
 //       Send one scenario request; print the km.run_result/v1 document
 //       (one line).  --meta prints the response meta line first —
 //       its "source" field says "engine" or "result_store".
@@ -42,7 +41,6 @@
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
-#include "sim/message.hpp"
 #include "util/json.hpp"
 #include "util/options.hpp"
 
@@ -61,9 +59,9 @@ int usage(const char* error) {
                "                    [--result-store-mb 64]\n"
                "  km_serve request  --socket PATH --workload W --dataset SPEC\n"
                "                    [--k 8] [--B 0] [--seed 1]\n"
-               "                    [--frame-bytes auto] [--workers 0]\n"
-               "                    [--check true] [--timeline true]\n"
-               "                    [--fresh] [--meta] [--repeat 1]\n"
+               "                    [--workers 0] [--check true]\n"
+               "                    [--timeline true] [--fresh] [--meta]\n"
+               "                    [--repeat 1]\n"
                "  km_serve stats    --socket PATH\n"
                "  km_serve ping     --socket PATH\n"
                "  km_serve shutdown --socket PATH\n\n"
@@ -143,8 +141,8 @@ int roundtrip(const Options& opts, const std::string& line, bool print_meta,
 
 int cmd_request(const Options& opts) {
   opts.reject_unknown({"socket", "workload", "dataset", "k", "B", "seed",
-                       "frame-bytes", "workers", "check", "timeline", "fresh",
-                       "meta", "repeat"});
+                       "workers", "check", "timeline", "fresh", "meta",
+                       "repeat"});
   const std::string workload = opts.get_string("workload", "");
   const std::string dataset = opts.get_string("dataset", "");
   if (workload.empty()) return usage("request: --workload is required");
@@ -158,12 +156,6 @@ int cmd_request(const Options& opts) {
   w.field("k", opts.get_uint("k", 8));
   w.field("bandwidth", opts.get_uint("B", 0));
   w.field("seed", opts.get_uint("seed", 1));
-  const std::size_t frame = frame_bytes_flag(opts);
-  if (frame == kFramedPayloadAuto) {
-    w.field("frame", "auto");
-  } else {
-    w.field("frame", std::uint64_t{frame});
-  }
   w.field("workers", opts.get_uint("workers", 0));
   w.field("check", opts.get_bool("check", true));
   w.field("timeline", opts.get_bool("timeline", true));
