@@ -49,16 +49,18 @@ SortResult distributed_sample_sort(const std::vector<std::uint64_t>& keys,
   result.offsets.assign(k + 1, 0);
   for (std::size_t i = 0; i <= k; ++i) result.offsets[i] = i * n / k;
 
+  // Random initial placement (the model's random input distribution),
+  // computed in one pass over the keys rather than once per machine.
+  std::vector<std::vector<std::uint64_t>> placed(k);
+  for (std::size_t i = 0; i < n; ++i) {
+    placed[hash_u64(config.placement_seed ^ hash_u64(i)) % k].push_back(
+        keys[i]);
+  }
+
   const Program program = [&](MachineContext& ctx) {
     const std::size_t self = ctx.id();
 
-    // Random initial placement (the model's random input distribution).
-    std::vector<std::uint64_t> mine;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (hash_u64(config.placement_seed ^ hash_u64(i)) % k == self) {
-        mine.push_back(keys[i]);
-      }
-    }
+    std::vector<std::uint64_t> mine = std::move(placed[self]);
     std::sort(mine.begin(), mine.end());
 
     // ---- Phase 1: sample -> coordinator (machine 0). ----

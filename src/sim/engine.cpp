@@ -1,6 +1,8 @@
 #include "sim/engine.hpp"
 
 #include <chrono>
+#include <cstring>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 
@@ -29,6 +31,13 @@ class SendTimer {
   MachineTraceBuffer* buf_;
   std::uint64_t begin_ = 0;
 };
+
+/// Validates k in Engine's member-initializer list, before the barrier
+/// (which rejects k = 0 with its own message) is built from it.
+std::size_t checked_k(std::size_t k) {
+  if (k < 1) throw std::invalid_argument("Engine: k must be >= 1");
+  return k;
+}
 }  // namespace
 
 std::uint64_t EngineConfig::default_bandwidth(std::size_t n) noexcept {
@@ -78,75 +87,60 @@ void MachineContext::account_send(std::size_t dst,
   row_max_ = std::max(row_max_, out_bits_[dst]);
 }
 
-// Framing pays a memcpy to save a refcounted buffer per message; with a
-// single message on the link there is nothing to amortize it against, so
-// a link's first small message takes the zero-copy path and framing
-// starts from the second.  (Delivery order is independent of the split:
-// the messages vector is authoritative.)
-bool MachineContext::should_frame(const LinkOut& link,
-                                  std::size_t payload_bytes) const {
-  return payload_bytes <= engine_->frame_threshold_ && !link.messages.empty();
-}
-
-Message MachineContext::stamp(std::size_t dst, std::uint16_t tag) const {
-  Message msg;
-  msg.src = static_cast<std::uint32_t>(id_);
-  msg.dst = static_cast<std::uint32_t>(dst);
-  msg.tag = tag;
-  return msg;
-}
-
-void MachineContext::send(std::size_t dst, std::uint16_t tag,
-                          PayloadRef payload) {
-  const SendTimer timer(trace_);
-  LinkOut& link = link_for(dst);
-  account_send(dst, payload.size());
-  Message msg = stamp(dst, tag);
-  msg.payload = std::move(payload);
-  link.messages.push_back(std::move(msg));
+bool MachineContext::should_frame(std::size_t payload_bytes) const {
+  return payload_bytes <= engine_->frame_threshold_;
 }
 
 void MachineContext::send_framed(LinkOut& link, std::size_t dst,
                                  std::uint16_t tag,
                                  std::span<const std::byte> payload) {
   account_send(dst, payload.size());
-  // The frame is one pooled buffer per (src, dst, superstep); its entries
-  // are length-prefixed and appear in the same order as the indices in
-  // link.framed, so delivery can walk both in lockstep.
+  // The frame is one pooled buffer per (src, dst, superstep), its
+  // entries in send order; delivery decodes them with the same layout.
   if (link.frame.capacity() == 0) link.frame = acquire_buffer();
-  link.framed.push_back(static_cast<std::uint32_t>(link.messages.size()));
+  std::byte tag_bytes[sizeof tag];
+  std::memcpy(tag_bytes, &tag, sizeof tag);
+  link.frame.insert(link.frame.end(), std::begin(tag_bytes),
+                    std::end(tag_bytes));
   append_varint(link.frame, payload.size());
   link.frame.insert(link.frame.end(), payload.begin(), payload.end());
-  // The payload stays empty until delivery slices the frame.
-  link.messages.push_back(stamp(dst, tag));
+  ++link.count;
+}
+
+void MachineContext::send_unframed(LinkOut& link, std::size_t dst,
+                                   std::uint16_t tag, PayloadRef payload) {
+  account_send(dst, payload.size());
+  link.unframed.push_back(
+      {.payload = std::move(payload), .pos = link.count, .tag = tag});
+  ++link.count;
+}
+
+void MachineContext::send(std::size_t dst, std::uint16_t tag,
+                          PayloadRef payload) {
+  const SendTimer timer(trace_);
+  send_unframed(link_for(dst), dst, tag, std::move(payload));
 }
 
 void MachineContext::send(std::size_t dst, std::uint16_t tag,
                           std::vector<std::byte> payload) {
   const SendTimer timer(trace_);
   LinkOut& link = link_for(dst);
-  if (should_frame(link, payload.size())) {
+  if (should_frame(payload.size())) {
     send_framed(link, dst, tag, payload);
     recycle_buffer(std::move(payload));
   } else {
-    account_send(dst, payload.size());
-    Message msg = stamp(dst, tag);
-    msg.payload = PayloadRef(std::move(payload));
-    link.messages.push_back(std::move(msg));
+    send_unframed(link, dst, tag, PayloadRef(std::move(payload)));
   }
 }
 
 void MachineContext::send(std::size_t dst, std::uint16_t tag, Writer& writer) {
   const SendTimer timer(trace_);
   LinkOut& link = link_for(dst);
-  if (should_frame(link, writer.size_bytes())) {
+  if (should_frame(writer.size_bytes())) {
     send_framed(link, dst, tag, writer.view());
     writer.clear();  // consumed; capacity stays with the writer
   } else {
-    account_send(dst, writer.size_bytes());
-    Message msg = stamp(dst, tag);
-    msg.payload = PayloadRef(writer.take());
-    link.messages.push_back(std::move(msg));
+    send_unframed(link, dst, tag, PayloadRef(writer.take()));
   }
 }
 
@@ -154,14 +148,12 @@ void MachineContext::send(std::size_t dst, std::uint16_t tag,
                           std::span<const std::byte> payload) {
   const SendTimer timer(trace_);
   LinkOut& link = link_for(dst);
-  if (should_frame(link, payload.size())) {
+  if (should_frame(payload.size())) {
     send_framed(link, dst, tag, payload);
   } else {
-    account_send(dst, payload.size());
-    Message msg = stamp(dst, tag);
-    msg.payload =
-        PayloadRef(std::vector<std::byte>(payload.begin(), payload.end()));
-    link.messages.push_back(std::move(msg));
+    send_unframed(
+        link, dst, tag,
+        PayloadRef(std::vector<std::byte>(payload.begin(), payload.end())));
   }
 }
 
@@ -235,12 +227,11 @@ bool MachineContext::all_reduce_or(bool value) {
 // ---------------------------------------------------------------------------
 
 Engine::Engine(std::size_t k, EngineConfig config)
-    : k_(k),
+    : k_(checked_k(k)),
       config_(std::move(config)),
       frame_threshold_(framed_payload_default_bytes(config_.bandwidth_bits)),
-      barrier_(k),
+      barrier_(k_),
       node_accums_(barrier_.node_count()) {
-  if (k_ < 1) throw std::invalid_argument("Engine: k must be >= 1");
   if (config_.bandwidth_bits < 1) {
     throw std::invalid_argument("Engine: bandwidth must be >= 1 bit");
   }
@@ -543,31 +534,49 @@ void Engine::drain_inbound(MachineContext& ctx, std::vector<Message>& into) {
   // opposite parity.
   const std::size_t parity = ctx.barriers_passed_ & 1;
   ++ctx.barriers_passed_;
+  const auto dst = static_cast<std::uint32_t>(ctx.id_);
   std::size_t total = into.size();
   for (std::size_t src = 0; src < k_; ++src) {
-    total += contexts_[src]->out_[parity][ctx.id_].messages.size();
+    total += contexts_[src]->out_[parity][dst].count;
   }
+  // Nothing below allocates or throws once the inbox is sized, so every
+  // reference share() counts is adopted.
   into.reserve(total);
   for (std::size_t src = 0; src < k_; ++src) {
-    auto& link = contexts_[src]->out_[parity][ctx.id_];
-    if (!link.framed.empty()) {
-      // Re-materialize framed payloads: the whole frame becomes one
-      // refcounted buffer and each framed message gets a zero-copy slice
-      // of it, restoring the exact bytes the sender wrote.
-      PayloadRef frame(std::move(link.frame));
-      Reader r(frame.view());
-      for (const std::uint32_t idx : link.framed) {
-        const std::uint64_t len = r.get_varint();
-        const std::size_t offset = frame.size() - r.remaining();
-        link.messages[idx].payload =
-            frame.slice(offset, static_cast<std::size_t>(len));
-        r.skip(static_cast<std::size_t>(len));
+    MachineContext::LinkOut& link = contexts_[src]->out_[parity][dst];
+    if (link.count == 0) continue;
+    const auto from = static_cast<std::uint32_t>(src);
+    // The frame becomes one buffer holding a reference per framed entry,
+    // and each framed Message adopts one as a zero-copy slice of it.
+    const std::size_t framed = link.count - link.unframed.size();
+    detail::PayloadBuf* frame =
+        framed == 0 ? nullptr
+                    : PayloadRef::share(std::move(link.frame), framed);
+    const std::byte* at = frame == nullptr ? nullptr : frame->bytes.data();
+    // Decodes one entry (u16 tag | varint(len) | bytes, as send_framed
+    // wrote it: the walk trusts the frame and checks no bounds).
+    const auto deliver_framed = [&] {
+      std::uint16_t tag = 0;
+      std::memcpy(&tag, at, sizeof tag);
+      at += sizeof tag;
+      std::size_t len = 0;
+      for (unsigned shift = 0;; shift += 7) {
+        const auto b = static_cast<std::uint8_t>(*at++);
+        len |= static_cast<std::size_t>(b & 0x7f) << shift;
+        if ((b & 0x80) == 0) break;
       }
-      link.framed.clear();
+      into.emplace_back(from, dst, tag, PayloadRef(frame, {at, len}));
+      at += len;
+    };
+    std::uint32_t pos = 0;
+    for (MachineContext::Unframed& msg : link.unframed) {
+      for (; pos < msg.pos; ++pos) deliver_framed();
+      into.emplace_back(from, dst, msg.tag, std::move(msg.payload));
+      ++pos;
     }
-    into.insert(into.end(), std::make_move_iterator(link.messages.begin()),
-                std::make_move_iterator(link.messages.end()));
-    link.messages.clear();  // keeps capacity: slot pool across supersteps
+    for (; pos < link.count; ++pos) deliver_framed();
+    link.unframed.clear();  // keeps capacity: slot pool across supersteps
+    link.count = 0;
   }
 }
 
@@ -576,9 +585,10 @@ void Engine::discard_inbound(MachineContext& ctx) {
   ++ctx.barriers_passed_;
   for (std::size_t src = 0; src < k_; ++src) {
     auto& link = contexts_[src]->out_[parity][ctx.id_];
-    link.messages.clear();
-    link.framed.clear();
+    if (link.count == 0) continue;
+    link.unframed.clear();
     link.frame.clear();  // keeps capacity for the link's next superstep
+    link.count = 0;
   }
 }
 

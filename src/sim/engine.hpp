@@ -27,28 +27,28 @@
 //    time a machine arrives at the barrier its outbound traffic is fully
 //    bucketed and costed.  Small payloads (<= the threshold
 //    framed_payload_default_bytes() in sim/message.hpp derives from B)
-//    produced by the Writer/vector/span overloads are
-//    *framed* from the link's second message of the superstep onward:
-//    their bytes are appended to one length-prefixed frame buffer per
-//    (src, dst, superstep) — layout per entry:
-//    varint(payload_len) | payload bytes — instead of each becoming a
-//    refcounted heap buffer of its own.  (A link's first message has
-//    nothing to amortize the copy against and takes the zero-copy
-//    path.)  One pooled frame buffer
-//    amortizes the per-message fixed cost (PayloadBuf object + refcount
-//    traffic + allocator round trip) across every small message on the
-//    link, which is what dominates tiny-payload workloads.  The span
-//    overload copies caller-owned bytes — into the frame when framed,
-//    otherwise into a buffer of exactly the payload's size — so one
-//    payload sent to many peers costs no per-send heap copy of its own
-//    and never pins a pooled buffer of arbitrary capacity.  Accounting is
+//    produced by the Writer/vector/span overloads are *framed*, a link's
+//    first message included: their tag and bytes are appended to one
+//    frame buffer per (src, dst, superstep) — layout per entry:
+//    u16 tag | varint(payload_len) | payload bytes — and no Message is
+//    built at send time.  The model's common case is one or two
+//    O(log n)-bit messages per link per superstep, so one pooled frame
+//    per link replaces the heap buffer, PayloadBuf object, Message copy
+//    and refcount round trip each of them would otherwise cost.  The
+//    span overload copies caller-owned bytes — into the frame when
+//    framed, otherwise into a buffer of exactly the payload's size — so
+//    one payload sent to many peers costs no per-send heap copy of its
+//    own and never pins a pooled buffer of arbitrary capacity.  Unframed
+//    messages (PayloadRef sends, broadcast(), payloads over the
+//    threshold) go to a side vector with their position on the link.
+//    broadcast() and the PayloadRef overload are never framed: they
+//    share one immutable PayloadRef across receivers (zero-copy), which
+//    is already cheaper than copying into k-1 frames.  Accounting is
 //    deliberately *unbatched*: every message is still charged
 //    Message::kHeaderBits + 8 * payload_bytes against its link, framed or
 //    not, so rounds/bits/max_link_bits are byte-identical to an
 //    unbatched plane (tests/test_exchange_determinism.cpp enforces
-//    this).  broadcast() and the PayloadRef overload are never framed:
-//    they share one immutable PayloadRef across receivers (zero-copy),
-//    which is already cheaper than copying into k-1 frames.
+//    this).
 //  - Phase 2 (merge, folding up the barrier tree): the superstep
 //    rendezvous is a sense-reversing arity-4 combining-tree barrier
 //    (sim/barrier.hpp).  The last arriver at each tree node folds its
@@ -62,14 +62,17 @@
 //    through the barrier; only integers fold.
 //  - Phase 3 (delivery, lock-free): after release each machine drains the
 //    LinkOuts addressed to it from all k sources in ascending source
-//    order, in parallel with every other machine, without any lock.  A
-//    link's frame buffer is wrapped in one PayloadRef and every framed
-//    message becomes a zero-copy slice of it, interleaved with unframed
-//    messages in original send order.  LinkOuts are double-buffered by
-//    barrier parity so the drain of superstep s never races the sends of
-//    superstep s+1; the tree barrier's acq_rel arrival chain and
-//    release-on-sense-flip provide the happens-before edges (tsan
-//    verified by the CI tsan job).
+//    order, in parallel with every other machine, without any lock.  The
+//    inbox is sized once from the per-link message counts, and links
+//    with no messages are skipped without being written.  A link's frame
+//    buffer becomes one PayloadBuf whose reference count is set once for
+//    all of its entries, and each Message is constructed in place in the
+//    inbox — framed ones as zero-copy slices of the frame, unframed ones
+//    at their recorded positions — in exact send order.  LinkOuts are
+//    double-buffered by barrier parity so the drain of superstep s never
+//    races the sends of superstep s+1; the tree barrier's acq_rel arrival
+//    chain and release-on-sense-flip provide the happens-before edges
+//    (tsan verified by the CI tsan job).
 //
 // Conventions:
 //  - All machines must call exchange() in lockstep (same count, same
@@ -181,34 +184,39 @@ class MachineContext {
   friend class Engine;
   MachineContext(Engine* engine, std::size_t id, Rng rng);
 
-  /// One link's pre-bucketed outbound traffic for one superstep parity.
-  /// `messages` holds every message in send order; a framed message sits
-  /// there with an empty payload until delivery, when its bytes are
-  /// sliced back out of `frame`.  `framed` lists the indices of framed
-  /// entries (ascending), and `frame` is the shared length-prefixed
-  /// buffer (varint(len) | bytes per entry, same order as `framed`).
+  /// A message that does not ride the frame, with its position among
+  /// the link's messages of the superstep (send order).
+  struct Unframed {
+    PayloadRef payload;
+    std::uint32_t pos = 0;
+    std::uint16_t tag = 0;
+  };
+  /// One link's pre-bucketed outbound traffic for one superstep parity:
+  /// `count` messages in send order.  The framed ones are the entries of
+  /// `frame` (u16 tag | varint(len) | bytes each, in send order); the
+  /// rest sit in `unframed`, ascending by position.
   struct LinkOut {
-    std::vector<Message> messages;
-    std::vector<std::uint32_t> framed;
+    std::uint32_t count = 0;
     std::vector<std::byte> frame;
+    std::vector<Unframed> unframed;
   };
 
   /// Validates dst and returns its current-parity LinkOut.
   LinkOut& link_for(std::size_t dst);
-  /// A Message with src/dst/tag filled in, payload empty.
-  Message stamp(std::size_t dst, std::uint16_t tag) const;
   /// Charges the link (unbatched formula) and updates the sender's row
   /// aggregates.  Every send path funnels through here.
   void account_send(std::size_t dst, std::uint64_t payload_bytes);
   /// Transport policy: payloads up to framed_payload_default_bytes(B)
-  /// are framed from the link's second message onward (one message has
-  /// nothing to amortize the copy against).  Never affects accounting or
-  /// delivery order.
-  bool should_frame(const LinkOut& link, std::size_t payload_bytes) const;
+  /// ride the link's frame, whatever else the link carries.  Never
+  /// affects accounting or delivery order.
+  bool should_frame(std::size_t payload_bytes) const;
   /// Appends a small payload to the link's frame (acquiring a pooled
-  /// buffer on first use) and records the framed entry.
+  /// buffer on first use).
   void send_framed(LinkOut& link, std::size_t dst, std::uint16_t tag,
                    std::span<const std::byte> payload);
+  /// Records a message that keeps its own PayloadRef.
+  void send_unframed(LinkOut& link, std::size_t dst, std::uint16_t tag,
+                     PayloadRef payload);
 
   Engine* engine_;
   std::size_t id_;
@@ -308,10 +316,11 @@ class Engine {
   void set_first_error_locked(std::exception_ptr error)
       KM_REQUIRES(mutex_);
 
-  /// Lock-free delivery (phase 3): moves every message addressed to `ctx`
-  /// from the sources' parity LinkOuts into `into`, ascending source
-  /// order, re-materializing framed payloads as zero-copy slices of each
-  /// link's frame buffer.  Advances the context's bucket parity.
+  /// Lock-free delivery (phase 3): builds every message addressed to
+  /// `ctx` from the sources' parity LinkOuts in place at the end of
+  /// `into`, ascending source then send order, framed payloads as
+  /// zero-copy slices of each link's frame buffer.  Advances the
+  /// context's bucket parity.
   void drain_inbound(MachineContext& ctx, std::vector<Message>& into);
   /// Same bucket walk for a finished machine: discards instead of
   /// delivering (the merge step already counted these as dropped).
@@ -319,7 +328,7 @@ class Engine {
 
   std::size_t k_;
   EngineConfig config_;
-  /// Largest payload (bytes) should_frame() batches into a link's frame:
+  /// Largest payload (bytes) should_frame() puts on a link's frame:
   /// framed_payload_default_bytes(config_.bandwidth_bits).
   std::size_t frame_threshold_;
 

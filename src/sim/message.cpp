@@ -131,6 +131,15 @@ PayloadRef::PayloadRef(std::vector<std::byte> bytes) {
   view_ = buf_->bytes;
 }
 
+detail::PayloadBuf* PayloadRef::share(std::vector<std::byte> bytes,
+                                      std::size_t refs) {
+  detail::PayloadBuf* buf = detail::acquire_payload_buf();
+  buf->bytes = std::move(bytes);
+  // Sole owner until the references are handed out: a plain store.
+  buf->refs.store(refs, std::memory_order_relaxed);
+  return buf;
+}
+
 PayloadRef PayloadRef::copy_of(std::span<const std::byte> bytes) {
   std::vector<std::byte> buf = acquire_buffer();
   buf.assign(bytes.begin(), bytes.end());

@@ -129,12 +129,12 @@ class PayloadRef {
   }
 
   /// Zero-copy sub-view of `len` bytes starting at `offset`, sharing this
-  /// buffer's ownership.  Both are clamped to the view.  The message
-  /// plane uses this to hand each framed message its bytes out of the
-  /// link's shared frame buffer without copying.  Note the flip side of
-  /// sharing: retaining one slice keeps the whole underlying buffer
-  /// alive.  A program that stores message payloads in long-lived state
-  /// should detach them with copy_of() instead of holding the ref.
+  /// buffer's ownership.  Both are clamped to the view.  A delivered
+  /// framed message is such a view of its link's shared frame buffer.
+  /// Note the flip side of sharing: retaining one slice keeps the whole
+  /// underlying buffer alive.  A program that stores message payloads in
+  /// long-lived state should detach them with copy_of() instead of
+  /// holding the ref.
   PayloadRef slice(std::size_t offset, std::size_t len) const noexcept {
     PayloadRef out(*this);  // bumps the refcount
     out.remove_prefix(offset);
@@ -155,6 +155,20 @@ class PayloadRef {
   }
 
  private:
+  // The message plane's batched hand-out (Engine::drain_inbound): a
+  // link's frame becomes one buffer whose count is set once for all of
+  // its entries, instead of one atomic add per slice.
+  friend class Engine;
+  /// Moves `bytes` into a fresh buffer that holds `refs` (>= 1)
+  /// references, each of which must be adopted by exactly one
+  /// PayloadRef(buf, view).
+  static detail::PayloadBuf* share(std::vector<std::byte> bytes,
+                                   std::size_t refs);
+  /// Adopts one of the references share() counted; `view` lies in
+  /// buf->bytes.
+  PayloadRef(detail::PayloadBuf* buf, std::span<const std::byte> view) noexcept
+      : buf_(buf), view_(view) {}
+
   void release() noexcept {
     if (buf_) {
       // Sole-owner fast path: holding a reference and observing refs == 1
@@ -204,10 +218,10 @@ inline constexpr std::size_t kFramedPayloadMaxDefaultBytes = 4096;
 /// a round alone amortizes its buffer — so the threshold is one round's
 /// worth of bytes, B/8, clamped to
 /// [kFramedPayloadMinDefaultBytes, kFramedPayloadMaxDefaultBytes].
-/// Applies to the Writer/vector/span send overloads, from a link's
-/// second message of the superstep onward; PayloadRef sends (including
-/// broadcast) always stay zero-copy shared.  Purely a transport policy:
-/// accounting never depends on it.
+/// Applies to every Writer/vector/span send, a link's first message of
+/// the superstep included; PayloadRef sends (including broadcast) always
+/// stay zero-copy shared.  Purely a transport policy: accounting never
+/// depends on it.
 constexpr std::size_t framed_payload_default_bytes(
     std::uint64_t bandwidth_bits) noexcept {
   const std::uint64_t round_bytes = bandwidth_bits / 8;

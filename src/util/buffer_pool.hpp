@@ -1,8 +1,9 @@
 // Thread-local recycling of byte buffers, with a shared return channel.
 //
-// The message plane allocates one byte buffer per serialized payload and
-// frees it when the last PayloadRef drops; at millions of messages per
-// second that allocator churn dominates.  acquire_buffer()/recycle_buffer()
+// The message plane allocates byte buffers (Writer storage, one frame per
+// link per superstep, unframed payloads) and frees them when the last
+// PayloadRef drops; at millions of messages per second that allocator
+// churn dominates.  acquire_buffer()/recycle_buffer()
 // keep a small per-thread free list of vectors so payload, Writer, and
 // frame storage is reused across supersteps.  Buffers recycle into the
 // pool of whichever thread releases them (typically the receiver), which
@@ -22,14 +23,15 @@
 // engine runs.
 //
 // Every pool op also maintains counters so a workload can tell when it
-// thrashes past the caps (256 buffers, 1 MiB per buffer, 8 MiB per
-// thread; 1024 buffers / 32 MiB on the shelf): buffer_pool_counters()
-// aggregates the cumulative hit/miss/eviction/shelf counts across all
-// threads (live and exited) plus the current occupancy of the live pools
-// and the shelf.  The counters are per-thread cache lines updated with
-// relaxed atomics, so the hot path never shares a line between threads;
-// Engine::run snapshots them and reports the per-run delta through
-// Metrics::summary.
+// thrashes past the caps (256 buffers, 1 MiB per buffer, 1 MiB per
+// thread; 1024 buffers / 1 MiB on the shelf; with the message plane's
+// one frame per link, the byte caps are the ones that bind):
+// buffer_pool_counters() aggregates the cumulative hit/miss/eviction/
+// shelf counts across all threads (live and exited) plus the current
+// occupancy of the live pools and the shelf.  The counters are
+// per-thread cache lines updated with relaxed atomics, so the hot path
+// never shares a line between threads; Engine::run snapshots them and
+// reports the per-run delta through Metrics::summary.
 #pragma once
 
 #include <cstddef>

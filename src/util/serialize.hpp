@@ -76,13 +76,6 @@ class Reader {
   std::int64_t get_varint_signed();
   double get_double();
 
-  /// Skips `n` payload bytes (e.g. a length-prefixed blob another layer
-  /// will view zero-copy). Throws SerializeError past the end.
-  void skip(std::size_t n) {
-    need(n);
-    pos_ += n;
-  }
-
   std::size_t remaining() const noexcept { return data_.size() - pos_; }
   bool done() const noexcept { return pos_ == data_.size(); }
 

@@ -5,6 +5,7 @@
 // binary under ThreadSanitizer to certify the lock-free delivery path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <span>
@@ -221,16 +222,21 @@ static_assert(kTestFrameBytes == 256);
 // from pure hashes, so the receiver can verify counts, order, and bytes
 // with no shared state.  Sizes deliberately straddle kTestFrameBytes so
 // framed and unframed messages interleave on every link, and each
-// message picks one of the three copying send overloads, so the
-// overloads mix on both sides of the framing split too.
-enum class SendOverload { kWriter, kVector, kSpan };
+// message picks one of the four send overloads: the three copying ones
+// mix on both sides of the framing split, and PayloadRef sends are
+// never framed whatever their size.
+enum class SendOverload { kWriter, kVector, kSpan, kRef };
 
 struct PlannedMessage {
   std::size_t size;
   std::uint64_t seed;
 
   SendOverload overload() const {
-    return static_cast<SendOverload>(seed % 3);
+    return static_cast<SendOverload>(seed % 4);
+  }
+  bool framed(std::uint64_t bandwidth) const {
+    return overload() != SendOverload::kRef &&
+           size <= framed_payload_default_bytes(bandwidth);
   }
 };
 
@@ -266,6 +272,36 @@ void run_framing_property_trial(std::uint64_t trial, std::uint64_t bandwidth) {
   constexpr std::size_t kMachines = 6;
   constexpr int kSupersteps = 4;
   {
+    // The plans must put PayloadRef sends (unframed by type) first, in
+    // the middle and last among framed messages on some link, so the
+    // delivery interleave is exercised at every position.
+    const auto framed = [&](const PlannedMessage& m) {
+      return m.framed(bandwidth);
+    };
+    std::size_t ref_first = 0, ref_middle = 0, ref_last = 0;
+    for (int step = 0; step < kSupersteps; ++step) {
+      for (std::size_t src = 0; src < kMachines; ++src) {
+        for (std::size_t dst = 0; dst < kMachines; ++dst) {
+          if (src == dst) continue;
+          const auto plan = link_plan(trial, step, src, dst);
+          for (std::size_t i = 0; i < plan.size(); ++i) {
+            if (plan[i].overload() != SendOverload::kRef) continue;
+            const bool before =
+                std::any_of(plan.begin(), plan.begin() + i, framed);
+            const bool after =
+                std::any_of(plan.begin() + i + 1, plan.end(), framed);
+            ref_first += !before && after;
+            ref_middle += before && after;
+            ref_last += before && !after;
+          }
+        }
+      }
+    }
+    ASSERT_GT(ref_first, 0u) << "B=" << bandwidth;
+    ASSERT_GT(ref_middle, 0u) << "B=" << bandwidth;
+    ASSERT_GT(ref_last, 0u) << "B=" << bandwidth;
+  }
+  {
     Engine engine(kMachines, {.bandwidth_bits = bandwidth,
                               .seed = trial,
                               .record_timeline = true});
@@ -288,6 +324,9 @@ void run_framing_property_trial(std::uint64_t trial, std::uint64_t bandwidth) {
                 break;
               case SendOverload::kSpan:
                 ctx.send(dst, tag, std::span<const std::byte>(bytes));
+                break;
+              case SendOverload::kRef:
+                ctx.send(dst, tag, PayloadRef(std::move(bytes)));
                 break;
             }
           }
@@ -395,11 +434,13 @@ TEST(Framing, BandwidthControlsTransportSharing) {
       ASSERT_EQ(in.size(), 3u);
       const bool expect_shared =
           framed_payload_default_bytes(bandwidth) >= kPayload;
+      // A link's first message rides the frame like the ones after it.
+      EXPECT_EQ(in[0].payload.shares_buffer_with(in[1].payload),
+                expect_shared)
+          << "B=" << bandwidth;
       EXPECT_EQ(in[1].payload.shares_buffer_with(in[2].payload),
                 expect_shared)
           << "B=" << bandwidth;
-      // A link's first message never rides the frame.
-      EXPECT_FALSE(in[0].payload.shares_buffer_with(in[1].payload));
       for (const Message& msg : in) {
         ASSERT_EQ(msg.payload.size(), kPayload);
         for (const std::byte b : msg.payload) {
@@ -414,11 +455,10 @@ TEST(Framing, BandwidthControlsTransportSharing) {
 }
 
 TEST(Framing, SmallPayloadsShareOneFrameBufferPerLink) {
-  // Transport-level zero-copy: from the second small message of a
-  // (src, dst, superstep) onward, payloads are slices of a single frame
-  // buffer.  The link's first message takes the classic zero-copy path
-  // (nothing to amortize the copy against), and a payload past the
-  // framing threshold always gets its own buffer.
+  // Transport-level zero-copy: every small message of a (src, dst,
+  // superstep), the link's first included, is a slice of a single frame
+  // buffer, and a payload past the framing threshold always gets its own
+  // buffer.
   Engine engine(2, {.bandwidth_bits = kTestBandwidth, .seed = 5});
   engine.run([&](MachineContext& ctx) {
     if (ctx.id() == 0) {
@@ -435,10 +475,10 @@ TEST(Framing, SmallPayloadsShareOneFrameBufferPerLink) {
     const auto in = ctx.exchange();
     if (ctx.id() == 1) {
       ASSERT_EQ(in.size(), 4u);
-      EXPECT_FALSE(in[0].payload.shares_buffer_with(in[1].payload))
-          << "a link's first message is not framed";
+      EXPECT_TRUE(in[0].payload.shares_buffer_with(in[1].payload))
+          << "a link's first small message shares the link frame";
       EXPECT_TRUE(in[1].payload.shares_buffer_with(in[2].payload))
-          << "second and later small messages share the link frame";
+          << "later small messages share the link frame";
       EXPECT_FALSE(in[3].payload.shares_buffer_with(in[1].payload))
           << "oversized payloads must not ride the frame";
       for (std::uint64_t i = 0; i < 3; ++i) {

@@ -150,6 +150,13 @@ TEST(Network, DeliveryOrderIsDeterministic) {
 
 TEST(Network, InvalidConstructionThrows) {
   EXPECT_THROW(Engine(0, {.bandwidth_bits = 100}), std::invalid_argument);
+  // The engine's own check, not the barrier's, rejects k = 0.
+  try {
+    Engine(0, {.bandwidth_bits = 100});
+    ADD_FAILURE() << "Engine(0, ...) did not throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "Engine: k must be >= 1");
+  }
   // B = 0 would divide by zero in the round charge.
   EXPECT_THROW(Engine(4, {.bandwidth_bits = 0}), std::invalid_argument);
 }
