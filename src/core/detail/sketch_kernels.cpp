@@ -357,31 +357,31 @@ void reset_sketch_dispatch() noexcept {
 FingerprintPowers::FingerprintPowers(std::uint64_t z,
                                      std::uint32_t max_exp_bits)
     : z_(reduce61(z)) {
-  digits_ = (max_exp_bits + 3) / 4;
+  digits_ = (max_exp_bits + 7) / 8;
   if (digits_ == 0) digits_ = 1;
-  if (digits_ > 16) digits_ = 16;
-  table_.assign(static_cast<std::size_t>(digits_) * 16, 1);
-  // table[d][v] = z^(v << 4d): within a digit multiply by the digit's
-  // unit step; the next digit's unit step is the 16th power of this
-  // one's, i.e. table[d][15] * table[d][1].
-  std::uint64_t unit = z_;  // z^(1 << 4d)
+  if (digits_ > 8) digits_ = 8;
+  table_.assign(static_cast<std::size_t>(digits_) * 256, 1);
+  // table[d][v] = z^(v << 8d): within a digit multiply by the digit's
+  // unit step; the next digit's unit step is the 256th power of this
+  // one's, i.e. table[d][255] * table[d][1].
+  std::uint64_t unit = z_;  // z^(1 << 8d)
   for (std::uint32_t d = 0; d < digits_; ++d) {
-    std::uint64_t* row = table_.data() + static_cast<std::size_t>(d) * 16;
+    std::uint64_t* row = table_.data() + static_cast<std::size_t>(d) * 256;
     row[0] = 1;
-    for (std::uint32_t v = 1; v < 16; ++v) {
+    for (std::uint32_t v = 1; v < 256; ++v) {
       row[v] = mulmod61_unchecked(row[v - 1], unit);
     }
-    unit = mulmod61_unchecked(row[15], unit);
+    unit = mulmod61_unchecked(row[255], unit);
   }
 }
 
 std::uint64_t FingerprintPowers::pow(std::uint64_t exp) const noexcept {
   const std::uint64_t* row = table_.data();
-  std::uint64_t r = row[exp & 15];
-  exp >>= 4;
-  for (std::uint32_t d = 1; d < digits_ && exp != 0; ++d, exp >>= 4) {
-    row += 16;
-    const std::uint64_t v = exp & 15;
+  std::uint64_t r = row[exp & 255];
+  exp >>= 8;
+  for (std::uint32_t d = 1; d < digits_ && exp != 0; ++d, exp >>= 8) {
+    row += 256;
+    const std::uint64_t v = exp & 255;
     if (v != 0) r = mulmod61_unchecked(r, row[v]);
   }
   return r;

@@ -28,10 +28,10 @@
 //
 // FingerprintPowers batches the Mersenne-61 exponentiations: all
 // sketches of a phase share one fingerprint base z, so z^id collapses
-// into a 4-bit windowed table (16 entries per hex digit of the
-// exponent) built once and shared thread-locally — ≤ 15 widening
-// multiplies per pow() instead of ~2·bits, with results identical to
-// powmod61.
+// into an 8-bit windowed table (256 entries per byte of the exponent)
+// built once and shared thread-locally — ≤ 7 widening multiplies per
+// pow() (2 for a 24-bit id) instead of ~2·bits, with results identical
+// to powmod61.  Sketch adds and 1-sparse recovery both read it.
 #pragma once
 
 #include <cstddef>
@@ -96,10 +96,10 @@ void force_sketch_dispatch(SketchDispatch d);
 /// Returns to CPUID auto-detection.
 void reset_sketch_dispatch() noexcept;
 
-/// 4-bit windowed power table over the Mersenne-61 field:
-/// table[d][v] = z^(v << 4d) mod 2^61-1, so z^e is the product of one
-/// table entry per nonzero hex digit of e.  Results are bit-identical
-/// to powmod61(z, e).
+/// 8-bit windowed power table over the Mersenne-61 field:
+/// table[d][v] = z^(v << 8d) mod 2^61-1, so z^e is the product of one
+/// table entry per nonzero byte of e.  Results are bit-identical to
+/// powmod61(z, e).
 class FingerprintPowers {
  public:
   FingerprintPowers(std::uint64_t z, std::uint32_t max_exp_bits);
@@ -114,7 +114,7 @@ class FingerprintPowers {
  private:
   std::uint64_t z_ = 1;
   std::uint32_t digits_ = 1;
-  std::vector<std::uint64_t> table_;  ///< digits_ × 16, row-major
+  std::vector<std::uint64_t> table_;  ///< digits_ × 256, row-major
 };
 
 /// Thread-local memo of FingerprintPowers keyed by (z, exponent width):

@@ -129,6 +129,18 @@ DistributedMstResult run_boruvka(const WeightedGraph& g,
       targets.erase(std::unique(first, targets.end()), targets.end());
       target_begin.push_back(targets.size());
     }
+    // arrival = the ghost slots homed elsewhere, in the order Step A's
+    // labels arrive: by ascending source, and within a source in its
+    // ascending owned order.  Each such ghost has a neighbor here, so its
+    // home pushes its label here exactly once per phase.
+    std::vector<std::uint32_t> arrival;
+    for (std::uint32_t s = 0; s < ghost.size(); ++s) {
+      if (part.home(ghost[s]) != self) arrival.push_back(s);
+    }
+    std::stable_sort(arrival.begin(), arrival.end(),
+                     [&](std::uint32_t a, std::uint32_t b) {
+                       return part.home(ghost[a]) < part.home(ghost[b]);
+                     });
 
     // frag[i] = fragment (root vertex id) of owned[i].
     std::vector<std::uint32_t> frag(owned.size());
@@ -150,10 +162,14 @@ DistributedMstResult run_boruvka(const WeightedGraph& g,
           ctx.send(targets[t], kFragPushTag, label.view());
         }
       }
+      std::size_t next = 0;
       for (const Message& msg : ctx.exchange()) {
         Reader r(msg.payload);
         const auto v = static_cast<Vertex>(r.get_varint());
-        nbr_frag[ghost_slot(v)] = static_cast<std::uint32_t>(r.get_varint());
+        if (next == arrival.size() || ghost[arrival[next]] != v) {
+          throw std::logic_error("mst: label push out of arrival order");
+        }
+        nbr_frag[arrival[next++]] = static_cast<std::uint32_t>(r.get_varint());
       }
 
       // ---- Step B: local MOE per fragment -> fragment proxies. ----

@@ -78,7 +78,14 @@ std::optional<std::uint64_t> SketchCell::recover(
   if (count != 1 && count != -1) return std::nullopt;
   const std::uint64_t id = count == 1 ? id_sum : (0 - id_sum);
   if (universe != 0 && id >= universe) return std::nullopt;
-  std::uint64_t expect = powmod61(z, id);
+  // The phase's sketch adds have already built z's power table on this
+  // thread; the full 64-bit universe (0) falls back to powmod61.
+  std::uint64_t expect =
+      universe == 0
+          ? powmod61(z, id)
+          : detail::fingerprint_powers(
+                z, static_cast<std::uint32_t>(std::bit_width(universe - 1)))
+                .pow(id);
   if (count == -1) expect = detail::negmod61_unchecked(expect);
   if (expect != fingerprint) return std::nullopt;
   return id;

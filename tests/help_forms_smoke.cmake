@@ -6,7 +6,9 @@
 # arguments only (placeholders W, SPEC, PATH and K1,K2,... filled in
 # with a small connectivity scenario) and must exit 0.  The km_serve
 # forms run against a daemon started for the purpose and shut down
-# afterwards.
+# afterwards.  Every subcommand either help text lists must also answer
+# `<tool> <sub> --help` and `<tool> <sub> -h` with the usage on stdout
+# and exit 0.
 #
 # Invoked by CTest (see tests/CMakeLists.txt) as:
 #   cmake -DKM_RUN=<km_run> -DKM_SERVE=<km_serve> -DOUT_DIR=<scratch dir>
@@ -73,6 +75,42 @@ function(scenario_forms tool out)
   set(${out} "${commands}" PARENT_SCOPE)
 endfunction()
 
+# Sets `out` to a report of the subcommands in `tool`'s --help text whose
+# `--help` or `-h` form does not print the usage on stdout with exit 0
+# (empty if none).
+function(subcommand_help tool out)
+  execute_process(COMMAND ${tool} --help
+    OUTPUT_VARIABLE help_out ERROR_VARIABLE help_err)
+  string(REGEX MATCHALL "\n  km_[a-z]+ [a-z]+" lines "${help_out}${help_err}")
+  set(subs "")
+  foreach(line IN LISTS lines)
+    string(REGEX REPLACE ".* " "" sub "${line}")
+    list(APPEND subs ${sub})
+  endforeach()
+  list(REMOVE_DUPLICATES subs)
+  if(NOT subs)
+    message(FATAL_ERROR "${tool} --help lists no subcommand")
+  endif()
+  set(report "")
+  foreach(sub IN LISTS subs)
+    foreach(flag --help -h)
+      execute_process(COMMAND ${tool} ${sub} ${flag}
+        OUTPUT_VARIABLE sub_out ERROR_VARIABLE sub_err RESULT_VARIABLE rc)
+      if(NOT rc EQUAL 0)
+        string(REGEX MATCH "^[^\n]*" first_line "${sub_err}")
+        string(APPEND report "\n`${tool} ${sub} ${flag}` exited ${rc}: "
+               "${first_line}")
+      elseif(NOT sub_out MATCHES "usage:")
+        string(APPEND report
+               "\n`${tool} ${sub} ${flag}` printed no usage on stdout")
+      else()
+        message(NOTICE "ok: ${tool} ${sub} ${flag}")
+      endif()
+    endforeach()
+  endforeach()
+  set(${out} "${report}" PARENT_SCOPE)
+endfunction()
+
 # Runs each command line in OUT_DIR (so default output paths land
 # there); sets `out` to a report of the failures (empty if none).
 function(run_forms commands out)
@@ -119,6 +157,13 @@ endif()
 
 file(REMOVE_RECURSE ${OUT_DIR})
 file(MAKE_DIRECTORY ${OUT_DIR})
+
+subcommand_help(${KM_RUN} run_help_failures)
+subcommand_help(${KM_SERVE} serve_help_failures)
+if(run_help_failures OR serve_help_failures)
+  message(FATAL_ERROR
+    "subcommand help failed:${run_help_failures}${serve_help_failures}")
+endif()
 
 scenario_forms(${KM_RUN} run_forms)
 run_forms("${run_forms}" failures)

@@ -194,5 +194,48 @@ TEST(GoldenMetrics, TriPartitionCostsAtMultiColorK) {
   }
 }
 
+// The connectivity snapshots run at k = 4 on n = 64, where a component's
+// label rarely has members on more than one machine.  These cells spread
+// labels over many hosts: sketch connectivity at k = 64, and on a path at
+// k = 16 (19 phases, long components split across machines), plus the
+// Borůvka driver behind `components` at k = 27.  Same seed and default B
+// as the snapshots.
+TEST(GoldenMetrics, ConnectivityCostsAtMultiHostK) {
+  struct Cell {
+    const char* workload;
+    const char* dataset;
+    std::size_t k;
+    std::uint64_t rounds, supersteps, messages, bits, max_link_bits,
+        components, phases;
+  };
+  const Cell cells[] = {
+      {"connectivity", "gnp:n=2048,p=0.004", 64, 52, 55, 61967, 17254368,
+       1872, 1, 11},
+      {"connectivity", "path:n=2000", 16, 128, 95, 15530, 15371904, 9248, 1,
+       19},
+      {"components", "gnp:n=2048,p=0.004", 27, 89, 93, 136209, 6026888, 1704,
+       1, 6},
+  };
+  for (const Cell& cell : cells) {
+    SCOPED_TRACE(std::string(cell.workload) + " on " + cell.dataset +
+                 " k=" + std::to_string(cell.k));
+    const Workload* workload = WorkloadRegistry::instance().find(cell.workload);
+    ASSERT_NE(workload, nullptr);
+    const RunResult result = run_cell(*workload, cell.dataset, cell.k);
+    EXPECT_TRUE(result.check.ok) << result.check.detail;
+    EXPECT_EQ(result.metrics.rounds, cell.rounds);
+    EXPECT_EQ(result.metrics.supersteps, cell.supersteps);
+    EXPECT_EQ(result.metrics.messages, cell.messages);
+    EXPECT_EQ(result.metrics.bits, cell.bits);
+    EXPECT_EQ(result.metrics.max_link_bits_superstep, cell.max_link_bits);
+    ASSERT_EQ(result.outputs.size(), 2u);
+    EXPECT_EQ(result.outputs[0].first, "num_components");
+    EXPECT_EQ(std::get<std::uint64_t>(result.outputs[0].second),
+              cell.components);
+    EXPECT_EQ(result.outputs[1].first, "phases");
+    EXPECT_EQ(std::get<std::uint64_t>(result.outputs[1].second), cell.phases);
+  }
+}
+
 }  // namespace
 }  // namespace km

@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <vector>
 
 #include "core/connectivity.hpp"
@@ -133,6 +134,56 @@ TEST(Sketch, CellRejectsNonSparseAndCancelsExactly) {
   big.add(1000, +1, z);
   EXPECT_FALSE(big.recover(z, 1000).has_value());
   EXPECT_TRUE(big.recover(z, 1001).has_value());
+}
+
+// SketchCell::recover reads z^id from the power table; hold it to the
+// definition (count ±1, id inside the universe, fingerprint ±z^id by
+// square-and-multiply) on exact cells and on cells one unit off, for a
+// universe that is not a power of two, for the full 64-bit universe (0)
+// and for ids at universe - 1.
+TEST(Sketch, RecoverMatchesPowmodReference) {
+  const auto reference = [](const SketchCell& cell, std::uint64_t z,
+                            std::uint64_t universe)
+      -> std::optional<std::uint64_t> {
+    if (cell.count != 1 && cell.count != -1) return std::nullopt;
+    const std::uint64_t id = cell.count == 1 ? cell.id_sum : 0 - cell.id_sum;
+    if (universe != 0 && id >= universe) return std::nullopt;
+    std::uint64_t expect = powmod61(z, id);
+    if (cell.count == -1 && expect != 0) expect = kSketchPrime - expect;
+    if (expect != cell.fingerprint) return std::nullopt;
+    return id;
+  };
+  Rng rng(1001);
+  const std::uint64_t z = sketch_fingerprint_base(17);
+  for (const std::uint64_t universe :
+       {std::uint64_t{1001}, std::uint64_t{0}, std::uint64_t{1} << 24}) {
+    std::vector<std::uint64_t> ids = {0, 1, 255, 256};
+    if (universe != 0) {
+      ids.insert(ids.end(), {universe - 1, universe});
+    } else {
+      ids.insert(ids.end(), {~std::uint64_t{0}, std::uint64_t{1} << 63});
+    }
+    for (int i = 0; i < 32; ++i) {
+      ids.push_back(universe == 0 ? rng.next() : rng.next() % universe);
+    }
+    for (const std::uint64_t id : ids) {
+      for (const int sign : {+1, -1}) {
+        SketchCell exact;
+        exact.add(id, sign, z);
+        SketchCell off_fp = exact;
+        off_fp.fingerprint = (off_fp.fingerprint + 1) % kSketchPrime;
+        SketchCell off_id = exact;
+        off_id.id_sum += 1;
+        for (const SketchCell& cell : {exact, off_fp, off_id}) {
+          EXPECT_EQ(cell.recover(z, universe), reference(cell, z, universe))
+              << "universe=" << universe << " id=" << id << " sign=" << sign;
+        }
+        if (universe == 0 || id < universe) {
+          EXPECT_EQ(exact.recover(z, universe), std::optional{id});
+        }
+      }
+    }
+  }
 }
 
 TEST(Sketch, CellLinearityAndSerializationRoundTrip) {

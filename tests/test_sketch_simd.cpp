@@ -124,6 +124,32 @@ TEST_F(SketchSimd, CrossPathMergeEqualsSinglePathMerge) {
   EXPECT_EQ(mixed.sample_all(), reference.sample_all());
 }
 
+// The power table serves every sketch add and every 1-sparse recovery,
+// so it must agree with square-and-multiply bit for bit at every
+// exponent width, on both sides of each 8-bit window boundary.
+TEST_F(SketchSimd, PowerTableMatchesPowmodAtEveryWidth) {
+  Rng rng(6161);
+  const std::uint64_t bases[] = {2, sketch_fingerprint_base(3),
+                                 kSketchPrime - 1, ~std::uint64_t{0}};
+  for (const std::uint64_t z : bases) {
+    for (std::uint32_t w = 1; w <= 64; ++w) {
+      const std::uint64_t top =
+          w == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << w) - 1;
+      std::vector<std::uint64_t> exps = {0, 1, top};
+      for (std::uint32_t b = 8; b < w; b += 8) {
+        const std::uint64_t edge = std::uint64_t{1} << b;
+        exps.insert(exps.end(), {edge - 1, edge, edge + 1});
+      }
+      for (int i = 0; i < 8; ++i) exps.push_back(rng.next() & top);
+      const detail::FingerprintPowers table(z, w);
+      for (const std::uint64_t e : exps) {
+        ASSERT_EQ(table.pow(e), powmod61(z, e))
+            << "z=" << z << " width=" << w << " exp=" << e;
+      }
+    }
+  }
+}
+
 TEST_F(SketchSimd, ExactCancellationHoldsOnEveryPath) {
   // The connectivity plane's correctness rests on internal edges
   // cancelling to exact zeros in the fold; verify the property is

@@ -26,8 +26,12 @@
 //       one JSON document per cell into --out-dir.  --n overrides the
 //       dataset spec's n= parameter, so one spec drives a scaling series.
 //
+// --help or -h, alone or after any subcommand, prints the usage on
+// stdout and exits 0.
+//
 // Exit status: 0 on success, 1 if any reference check failed, 2 on usage
 // errors.
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <exception>
@@ -48,9 +52,8 @@ namespace {
 
 using namespace km;
 
-int usage(const char* error) {
-  if (error) std::fprintf(stderr, "km_run: %s\n\n", error);
-  std::fprintf(stderr,
+void print_usage(std::FILE* out) {
+  std::fprintf(out,
                "usage:\n"
                "  km_run list\n"
                "  km_run run   --workload W --dataset SPEC [--k 8] [--B 0]\n"
@@ -69,7 +72,20 @@ int usage(const char* error) {
                "link-bit matrices as <trace>.links.json. Metrics identical.\n\n"
                "%s\n",
                dataset_grammar_help().c_str());
+}
+
+/// A usage error: the message and the usage on stderr, exit status 2.
+int usage(const char* error) {
+  std::fprintf(stderr, "km_run: %s\n\n", error);
+  print_usage(stderr);
   return 2;
+}
+
+/// --help or -h anywhere after the subcommand.
+bool asks_help(const Options& opts) {
+  const auto& args = opts.positional();
+  return opts.has("help") ||
+         std::find(args.begin(), args.end(), "-h") != args.end();
 }
 
 /// "4,8,16" -> {4,8,16}; empty/omitted -> {fallback}.
@@ -286,14 +302,15 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage("missing subcommand");
   const std::string subcommand = argv[1];
   try {
-    if (subcommand == "list") return cmd_list();
     const Options opts(argc - 1, argv + 1);
-    if (subcommand == "run") return cmd_run(opts);
-    if (subcommand == "sweep") return cmd_sweep(opts);
-    if (subcommand == "--help" || subcommand == "-h" || subcommand == "help") {
-      usage(nullptr);
+    if (subcommand == "--help" || subcommand == "-h" || subcommand == "help" ||
+        asks_help(opts)) {
+      print_usage(stdout);
       return 0;
     }
+    if (subcommand == "list") return cmd_list();
+    if (subcommand == "run") return cmd_run(opts);
+    if (subcommand == "sweep") return cmd_sweep(opts);
     return usage(("unknown subcommand '" + subcommand + "'").c_str());
   } catch (const OptionsError& e) {
     return usage(e.what());

@@ -27,6 +27,9 @@
 //   km_serve ping --socket PATH      Liveness check.
 //   km_serve shutdown --socket PATH  Stop the daemon.
 //
+// --help or -h, alone or after any subcommand, prints the usage on
+// stdout and exits 0.
+//
 // Exit status: 0 on success, 1 when the server answered with an error
 // (including a failed reference check surfacing as status=error), 2 on
 // usage or connection errors.
@@ -49,9 +52,8 @@ namespace {
 using namespace km;
 using namespace km::serve;
 
-int usage(const char* error) {
-  if (error) std::fprintf(stderr, "km_serve: %s\n\n", error);
-  std::fprintf(stderr,
+void print_usage(std::FILE* out) {
+  std::fprintf(out,
                "usage:\n"
                "  km_serve serve    --socket PATH [--runners 1]\n"
                "                    [--queue-depth 16]\n"
@@ -70,7 +72,20 @@ int usage(const char* error) {
                "cells; `request --meta` shows which path served you.\n\n"
                "%s\n",
                dataset_grammar_help().c_str());
+}
+
+/// A usage error: the message and the usage on stderr, exit status 2.
+int usage(const char* error) {
+  std::fprintf(stderr, "km_serve: %s\n\n", error);
+  print_usage(stderr);
   return 2;
+}
+
+/// --help or -h anywhere after the subcommand.
+bool asks_help(const Options& opts) {
+  const auto& args = opts.positional();
+  return opts.has("help") ||
+         std::find(args.begin(), args.end(), "-h") != args.end();
 }
 
 std::string require_socket(const Options& opts) {
@@ -178,15 +193,16 @@ int main(int argc, char** argv) {
   const std::string subcommand = argv[1];
   try {
     const Options opts(argc - 1, argv + 1);
+    if (subcommand == "--help" || subcommand == "-h" || subcommand == "help" ||
+        asks_help(opts)) {
+      print_usage(stdout);
+      return 0;
+    }
     if (subcommand == "serve") return cmd_serve(opts);
     if (subcommand == "request") return cmd_request(opts);
     if (subcommand == "stats") return cmd_simple(opts, "stats");
     if (subcommand == "ping") return cmd_simple(opts, "ping");
     if (subcommand == "shutdown") return cmd_simple(opts, "shutdown");
-    if (subcommand == "--help" || subcommand == "-h" || subcommand == "help") {
-      usage(nullptr);
-      return 0;
-    }
     return usage(("unknown subcommand '" + subcommand + "'").c_str());
   } catch (const OptionsError& e) {
     return usage(e.what());

@@ -25,9 +25,10 @@
 //                   iteration order is a stdlib implementation detail,
 //                   so anything it feeds — send order, JSON fields,
 //                   metric sums — can differ across standard libraries.
-//                   The algorithm kernels in src/core iterate sorted
-//                   views (sorted_keys/for_sorted in core/detail), which
-//                   is what lets golden snapshots be platform-portable.
+//                   The algorithm kernels in src/core keep no hash
+//                   containers at all (dense indexes and sorted vectors
+//                   instead), which is what lets golden snapshots be
+//                   platform-portable.
 //   unseeded-rng    a <random> engine constructed without a seed
 //                   (std::mt19937 g;) uses default_seed — deterministic
 //                   but seed-blind: it silently ignores the run's seed
