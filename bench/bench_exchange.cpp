@@ -5,10 +5,11 @@
 // (1) broadcast-heavy — every machine broadcasts the same payload to all
 // k-1 peers, so payload copying (or sharing) dominates; (2) unique
 // fan-out — every machine sends a distinct message to every peer, so
-// per-message bookkeeping and allocator churn dominate (each is its
-// link's only message of the superstep, and all three sizes are under
-// the 4096-byte framing threshold at this bandwidth, so every one rides
-// its link's frame); (3) two-hop shuffle —
+// per-message bookkeeping dominates (each is its link's only message of
+// the superstep, and all three sizes are under the 4096-byte framing
+// threshold at this bandwidth, so every one is framed: appended to its
+// sender's outbox slab and copied into its receiver's inbox arena, one
+// buffer per machine per superstep on each side); (3) two-hop shuffle —
 // route_via_random_intermediate, so envelope (re)serialization dominates;
 // (4) barrier latency — empty supersteps at k up to 256, so the tree
 // barrier's rendezvous and wake-up are the whole cost; (5) speedup vs

@@ -277,6 +277,8 @@ DistributedComponentsResult sketch_connectivity(const Graph& g,
         std::sort(order.begin(), order.end());
         const std::uint64_t universe =
             id_bits >= 64 ? 0 : (std::uint64_t{1} << id_bits);
+        const detail::FingerprintPowers* powers =
+            SketchCell::recovery_powers(z, universe);
         std::vector<std::pair<std::uint32_t, SketchCell>> fold;
         std::vector<std::uint64_t> ids;
         for (std::size_t j = 0; j < order.size();) {
@@ -299,7 +301,9 @@ DistributedComponentsResult sketch_connectivity(const Graph& g,
           for (const auto& [pos, cell] : fold) {
             if (cell.is_zero()) continue;
             any_nonzero = true;
-            if (const auto id = cell.recover(z, universe)) ids.push_back(*id);
+            if (const auto id = cell.recover(z, universe, powers)) {
+              ids.push_back(*id);
+            }
           }
           if (!any_nonzero) continue;
           const std::size_t proxy = proxy_of(c);

@@ -69,23 +69,33 @@ void SketchCell::merge(const SketchCell& other) noexcept {
   fingerprint = detail::addmod61_unchecked(fingerprint, other.fingerprint);
 }
 
-KM_NO_SANITIZE("unsigned-integer-overflow")  // 0 - id_sum: exact negation
 std::optional<std::uint64_t> SketchCell::recover(
     std::uint64_t z, std::uint64_t universe) const noexcept {
+  // Only a ±1 count can recover: skip the table lookup for the rest.
+  if (count != 1 && count != -1) return std::nullopt;
+  return recover(z, universe, recovery_powers(z, universe));
+}
+
+const detail::FingerprintPowers* SketchCell::recovery_powers(
+    std::uint64_t z, std::uint64_t universe) {
+  // The phase's sketch adds have already built z's power table on this
+  // thread; the full 64-bit universe (0) falls back to powmod61.
+  if (universe == 0) return nullptr;
+  return &detail::fingerprint_powers(
+      z, static_cast<std::uint32_t>(std::bit_width(universe - 1)));
+}
+
+KM_NO_SANITIZE("unsigned-integer-overflow")  // 0 - id_sum: exact negation
+std::optional<std::uint64_t> SketchCell::recover(
+    std::uint64_t z, std::uint64_t universe,
+    const detail::FingerprintPowers* powers) const noexcept {
   // A ±1-valued 1-sparse vector has count = ±1 and id_sum = ±id exactly
   // (single term: no wrapping).  Anything else that happens to pass the
   // count test is vetoed by the fingerprint whp.
   if (count != 1 && count != -1) return std::nullopt;
   const std::uint64_t id = count == 1 ? id_sum : (0 - id_sum);
   if (universe != 0 && id >= universe) return std::nullopt;
-  // The phase's sketch adds have already built z's power table on this
-  // thread; the full 64-bit universe (0) falls back to powmod61.
-  std::uint64_t expect =
-      universe == 0
-          ? powmod61(z, id)
-          : detail::fingerprint_powers(
-                z, static_cast<std::uint32_t>(std::bit_width(universe - 1)))
-                .pow(id);
+  std::uint64_t expect = powers == nullptr ? powmod61(z, id) : powers->pow(id);
   if (count == -1) expect = detail::negmod61_unchecked(expect);
   if (expect != fingerprint) return std::nullopt;
   return id;
@@ -350,6 +360,8 @@ std::optional<std::uint64_t> L0Sketch::sample() const noexcept {
   for (std::uint32_t row = 0; row < shape_.rows; ++row) {
     lmax = std::max(lmax, tops_[row]);
   }
+  const detail::FingerprintPowers* powers =
+      SketchCell::recovery_powers(z_, universe);
   // Sparsest first: high levels are most likely to be 1-sparse.  The
   // scan order is fixed (level descending, then row ascending), so
   // equal sketches always sample the same id; cells above a row's
@@ -360,7 +372,7 @@ std::optional<std::uint64_t> L0Sketch::sample() const noexcept {
       if (l >= tops_[row]) continue;
       const std::size_t i = static_cast<std::size_t>(row) * levels + l;
       const SketchCell cell{counts_[i], id_sums_[i], fps_[i]};
-      if (const auto id = cell.recover(z_, universe)) return id;
+      if (const auto id = cell.recover(z_, universe, powers)) return id;
     }
   }
   return std::nullopt;
@@ -372,11 +384,15 @@ std::vector<std::uint64_t> L0Sketch::sample_all() const {
   const std::uint64_t universe =
       shape_.id_bits >= 64 ? 0 : (std::uint64_t{1} << shape_.id_bits);
   const std::uint32_t levels = shape_.levels();
+  const detail::FingerprintPowers* powers =
+      SketchCell::recovery_powers(z_, universe);
   for (std::uint32_t row = 0; row < shape_.rows; ++row) {
     for (std::uint64_t l = 0; l < tops_[row]; ++l) {
       const std::size_t i = static_cast<std::size_t>(row) * levels + l;
       const SketchCell cell{counts_[i], id_sums_[i], fps_[i]};
-      if (const auto id = cell.recover(z_, universe)) out.push_back(*id);
+      if (const auto id = cell.recover(z_, universe, powers)) {
+        out.push_back(*id);
+      }
     }
   }
   std::sort(out.begin(), out.end());

@@ -57,6 +57,10 @@
 
 namespace km {
 
+namespace detail {
+class FingerprintPowers;
+}  // namespace detail
+
 /// Field modulus for fingerprints: the Mersenne prime 2^61 - 1.
 inline constexpr std::uint64_t kSketchPrime = (std::uint64_t{1} << 61) - 1;
 
@@ -123,6 +127,19 @@ struct SketchCell {
   /// bounds valid ids (exclusive).
   std::optional<std::uint64_t> recover(std::uint64_t z,
                                        std::uint64_t universe) const noexcept;
+  /// recover() reading z^id from `powers`, which must be
+  /// recovery_powers(z, universe): loops over many cells resolve the
+  /// table once instead of once per candidate cell.
+  std::optional<std::uint64_t> recover(
+      std::uint64_t z, std::uint64_t universe,
+      const detail::FingerprintPowers* powers) const noexcept;
+  /// The power table recover(z, universe) reads, or null for the full
+  /// 64-bit universe (0), which falls back to powmod61.  Thread-local
+  /// (detail::fingerprint_powers): valid until the calling thread
+  /// resolves tables for other bases, so never across an exchange(),
+  /// where other machines run on the same worker.
+  static const detail::FingerprintPowers* recovery_powers(
+      std::uint64_t z, std::uint64_t universe);
 
   void serialize(Writer& w) const;
   static SketchCell deserialize(Reader& r);

@@ -59,7 +59,10 @@ void check_known_keys(const DatasetSpec& spec,
     if (std::find(known.begin(), known.end(), key) == known.end()) {
       std::string msg = "dataset family '" + spec.family +
                         "' does not accept parameter '" + key + "' (accepted:";
-      for (const auto k : known) msg += " " + std::string(k);
+      for (const auto k : known) {
+        msg += ' ';
+        msg += k;
+      }
       msg += " maxw)";
       throw DatasetError(msg);
     }

@@ -1,8 +1,10 @@
 #include "sim/engine.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <cstddef>
+#include <cstdint>
 #include <cstring>
-#include <iterator>
 #include <sstream>
 #include <stdexcept>
 
@@ -38,6 +40,22 @@ std::size_t checked_k(std::size_t k) {
   if (k < 1) throw std::invalid_argument("Engine: k must be >= 1");
   return k;
 }
+
+/// Header of one framed entry in a sender's slab; the payload's `len`
+/// bytes follow it.  `next` is the slab offset of the link's next framed
+/// entry (unread on the link's last one).  A fixed-width length suffices:
+/// the framing threshold never exceeds kFramedPayloadMaxDefaultBytes.
+struct SlabEntry {
+  std::uint32_t next;
+  std::uint16_t tag;
+  std::uint16_t len;
+};
+static_assert(sizeof(SlabEntry) == 8);
+static_assert(kFramedPayloadMaxDefaultBytes <= UINT16_MAX);
+
+/// Slab offsets and a link's framed byte count are 32-bit.
+constexpr std::size_t kMaxSlabBytes = UINT32_MAX;
+constexpr std::size_t kMinSlabBytes = 256;
 }  // namespace
 
 std::uint64_t EngineConfig::default_bandwidth(std::size_t n) noexcept {
@@ -88,23 +106,51 @@ void MachineContext::account_send(std::size_t dst,
 }
 
 bool MachineContext::should_frame(std::size_t payload_bytes) const {
-  return payload_bytes <= engine_->frame_threshold_;
+  return payload_bytes != 0 && payload_bytes <= engine_->frame_threshold_;
 }
 
 void MachineContext::send_framed(LinkOut& link, std::size_t dst,
                                  std::uint16_t tag,
                                  std::span<const std::byte> payload) {
+  // One slab per (sender, parity) holds every link's framed entries of
+  // the superstep, each chained behind its link's previous one, so a
+  // superstep's framed traffic costs this machine one growing buffer
+  // rather than one per active link.
+  Slab& slab = slab_[barriers_passed_ & 1];
+  const std::size_t at = slab.used;
+  const std::size_t end = at + sizeof(SlabEntry) + payload.size();
+  if (end > slab.capacity) {
+    if (end > kMaxSlabBytes) {
+      throw std::length_error(
+          "MachineContext::send: outbox slab over 2^32 - 1 bytes in one "
+          "superstep");
+    }
+    const std::size_t capacity = std::min(
+        kMaxSlabBytes, std::max({end, 2 * slab.capacity, kMinSlabBytes}));
+    // Default-initialized: pages are touched only as entries fill them.
+    std::unique_ptr<std::byte[]> grown(new std::byte[capacity]);
+    if (at != 0) std::memcpy(grown.get(), slab.bytes.get(), at);
+    slab.bytes = std::move(grown);
+    slab.capacity = capacity;
+  }
   account_send(dst, payload.size());
-  // The frame is one pooled buffer per (src, dst, superstep), its
-  // entries in send order; delivery decodes them with the same layout.
-  if (link.frame.capacity() == 0) link.frame = acquire_buffer();
-  std::byte tag_bytes[sizeof tag];
-  std::memcpy(tag_bytes, &tag, sizeof tag);
-  link.frame.insert(link.frame.end(), std::begin(tag_bytes),
-                    std::end(tag_bytes));
-  append_varint(link.frame, payload.size());
-  link.frame.insert(link.frame.end(), payload.begin(), payload.end());
+  std::byte* base = slab.bytes.get();
+  const SlabEntry entry{.next = 0,
+                        .tag = tag,
+                        .len = static_cast<std::uint16_t>(payload.size())};
+  std::memcpy(base + at, &entry, sizeof entry);
+  std::memcpy(base + at + sizeof entry, payload.data(), payload.size());
+  const auto offset = static_cast<std::uint32_t>(at);
+  if (link.count == link.unframed.size()) {
+    link.head = offset;  // the link's first framed entry
+  } else {
+    std::memcpy(base + link.tail + offsetof(SlabEntry, next), &offset,
+                sizeof offset);
+  }
+  link.tail = offset;
+  link.framed_bytes += static_cast<std::uint32_t>(payload.size());
   ++link.count;
+  slab.used = end;
 }
 
 void MachineContext::send_unframed(LinkOut& link, std::size_t dst,
@@ -529,44 +575,57 @@ bool Engine::finalize_superstep() {
 
 void Engine::drain_inbound(MachineContext& ctx, std::vector<Message>& into) {
   // Runs on ctx's own thread with no lock held.  Safe: the sources wrote
-  // these LinkOuts before arriving at the barrier we just left (the tree
-  // barrier's release publishes them), and their next sends go to the
-  // opposite parity.
+  // these LinkOuts and slabs before arriving at the barrier we just left
+  // (the tree barrier's release publishes them), and their next sends go
+  // to the opposite parity.
   const std::size_t parity = ctx.barriers_passed_ & 1;
   ++ctx.barriers_passed_;
+  // Every receiver drained the slab this machine fills next before it
+  // arrived at the barrier just passed: the LinkOuts' parity invariant.
+  ctx.slab_[ctx.barriers_passed_ & 1].used = 0;
   const auto dst = static_cast<std::uint32_t>(ctx.id_);
   std::size_t total = into.size();
+  std::size_t framed = 0;
+  std::size_t framed_bytes = 0;
   for (std::size_t src = 0; src < k_; ++src) {
-    total += contexts_[src]->out_[parity][dst].count;
+    const MachineContext::LinkOut& link = contexts_[src]->out_[parity][dst];
+    // An empty link costs one read of its count (at huge k most are).
+    if (link.count == 0) continue;
+    total += link.count;
+    framed += link.count - link.unframed.size();
+    framed_bytes += link.framed_bytes;
   }
-  // Nothing below allocates or throws once the inbox is sized, so every
-  // reference share() counts is adopted.
+  // Nothing below allocates or throws once the inbox and the arena are
+  // sized, so every reference share() counts is adopted.
   into.reserve(total);
+  // One inbox arena per receiver per superstep: every framed payload is
+  // copied out of its sender's slab into it and handed out as a slice,
+  // so the buffer is allocated and released on this machine's worker
+  // and no sender's slab outlives the superstep through a Message.
+  detail::PayloadBuf* arena = nullptr;
+  std::byte* fill = nullptr;
+  if (framed != 0) {
+    std::vector<std::byte> bytes = acquire_buffer();
+    bytes.resize(framed_bytes);
+    arena = PayloadRef::share(std::move(bytes), framed);
+    fill = arena->bytes.data();
+  }
   for (std::size_t src = 0; src < k_; ++src) {
     MachineContext::LinkOut& link = contexts_[src]->out_[parity][dst];
     if (link.count == 0) continue;
     const auto from = static_cast<std::uint32_t>(src);
-    // The frame becomes one buffer holding a reference per framed entry,
-    // and each framed Message adopts one as a zero-copy slice of it.
-    const std::size_t framed = link.count - link.unframed.size();
-    detail::PayloadBuf* frame =
-        framed == 0 ? nullptr
-                    : PayloadRef::share(std::move(link.frame), framed);
-    const std::byte* at = frame == nullptr ? nullptr : frame->bytes.data();
-    // Decodes one entry (u16 tag | varint(len) | bytes, as send_framed
-    // wrote it: the walk trusts the frame and checks no bounds).
+    const std::byte* slab = contexts_[src]->slab_[parity].bytes.get();
+    std::uint32_t at = link.head;
+    // Copies one entry out (as send_framed wrote it: the walk trusts the
+    // chain and checks no bounds) and follows the link's chain.
     const auto deliver_framed = [&] {
-      std::uint16_t tag = 0;
-      std::memcpy(&tag, at, sizeof tag);
-      at += sizeof tag;
-      std::size_t len = 0;
-      for (unsigned shift = 0;; shift += 7) {
-        const auto b = static_cast<std::uint8_t>(*at++);
-        len |= static_cast<std::size_t>(b & 0x7f) << shift;
-        if ((b & 0x80) == 0) break;
-      }
-      into.emplace_back(from, dst, tag, PayloadRef(frame, {at, len}));
-      at += len;
+      SlabEntry entry;
+      std::memcpy(&entry, slab + at, sizeof entry);
+      std::memcpy(fill, slab + at + sizeof entry, entry.len);
+      into.emplace_back(from, dst, entry.tag,
+                        PayloadRef(arena, {fill, entry.len}));
+      fill += entry.len;
+      at = entry.next;
     };
     std::uint32_t pos = 0;
     for (MachineContext::Unframed& msg : link.unframed) {
@@ -577,18 +636,20 @@ void Engine::drain_inbound(MachineContext& ctx, std::vector<Message>& into) {
     for (; pos < link.count; ++pos) deliver_framed();
     link.unframed.clear();  // keeps capacity: slot pool across supersteps
     link.count = 0;
+    link.framed_bytes = 0;
   }
 }
 
 void Engine::discard_inbound(MachineContext& ctx) {
   const std::size_t parity = ctx.barriers_passed_ & 1;
   ++ctx.barriers_passed_;
+  ctx.slab_[ctx.barriers_passed_ & 1].used = 0;  // as in drain_inbound
   for (std::size_t src = 0; src < k_; ++src) {
     auto& link = contexts_[src]->out_[parity][ctx.id_];
     if (link.count == 0) continue;
     link.unframed.clear();
-    link.frame.clear();  // keeps capacity for the link's next superstep
     link.count = 0;
+    link.framed_bytes = 0;
   }
 }
 

@@ -25,25 +25,26 @@
 //    into a per-destination LinkOut owned by the sending machine and
 //    accumulates that link's bit/message counters on the fly, so by the
 //    time a machine arrives at the barrier its outbound traffic is fully
-//    bucketed and costed.  Small payloads (<= the threshold
+//    bucketed and costed.  Small payloads (1 byte up to the threshold
 //    framed_payload_default_bytes() in sim/message.hpp derives from B)
 //    produced by the Writer/vector/span overloads are *framed*, a link's
-//    first message included: their tag and bytes are appended to one
-//    frame buffer per (src, dst, superstep) — layout per entry:
-//    u16 tag | varint(payload_len) | payload bytes — and no Message is
-//    built at send time.  The model's common case is one or two
-//    O(log n)-bit messages per link per superstep, so one pooled frame
-//    per link replaces the heap buffer, PayloadBuf object, Message copy
-//    and refcount round trip each of them would otherwise cost.  The
-//    span overload copies caller-owned bytes — into the frame when
+//    first message included: they are appended to the sender's outbox
+//    slab — one per machine per barrier parity, shared by all of its
+//    links — as u32 next | u16 tag | u16 len | payload bytes, and each
+//    LinkOut chains its entries by slab offset (head, tail, the framed
+//    byte total).  No Message is built at send time and no buffer is
+//    taken per message or per link: the model's common case is one or
+//    two O(log n)-bit messages on each of many links per superstep, so
+//    a superstep's framed traffic costs each sender one growing slab.
+//    The span overload copies caller-owned bytes — into the slab when
 //    framed, otherwise into a buffer of exactly the payload's size — so
 //    one payload sent to many peers costs no per-send heap copy of its
 //    own and never pins a pooled buffer of arbitrary capacity.  Unframed
-//    messages (PayloadRef sends, broadcast(), payloads over the
-//    threshold) go to a side vector with their position on the link.
-//    broadcast() and the PayloadRef overload are never framed: they
-//    share one immutable PayloadRef across receivers (zero-copy), which
-//    is already cheaper than copying into k-1 frames.  Accounting is
+//    messages (PayloadRef sends, broadcast(), empty payloads, payloads
+//    over the threshold) go to a side vector with their position on the
+//    link.  broadcast() and the PayloadRef overload are never framed:
+//    they share one immutable PayloadRef across receivers (zero-copy),
+//    which is already cheaper than k-1 copies.  Accounting is
 //    deliberately *unbatched*: every message is still charged
 //    Message::kHeaderBits + 8 * payload_bytes against its link, framed or
 //    not, so rounds/bits/max_link_bits are byte-identical to an
@@ -62,15 +63,21 @@
 //    through the barrier; only integers fold.
 //  - Phase 3 (delivery, lock-free): after release each machine drains the
 //    LinkOuts addressed to it from all k sources in ascending source
-//    order, in parallel with every other machine, without any lock.  The
-//    inbox is sized once from the per-link message counts, and links
-//    with no messages are skipped without being written.  A link's frame
-//    buffer becomes one PayloadBuf whose reference count is set once for
-//    all of its entries, and each Message is constructed in place in the
-//    inbox — framed ones as zero-copy slices of the frame, unframed ones
-//    at their recorded positions — in exact send order.  LinkOuts are
-//    double-buffered by barrier parity so the drain of superstep s never
-//    races the sends of superstep s+1; the tree barrier's acq_rel arrival
+//    order, in parallel with every other machine, without any lock.  A
+//    first pass over the k sources sizes the inbox from the per-link
+//    message counts and one inbox arena from the framed byte totals; the
+//    second walks each link's slab chain, copies every framed payload
+//    into the arena, and constructs each Message in place in the inbox —
+//    framed ones as slices of the arena, whose reference count is set
+//    once for all of them, unframed ones at their recorded positions —
+//    in exact send order.  A superstep therefore takes one buffer per
+//    receiver (allocated and released on the receiver's own worker) and
+//    one slab per sender, O(k) buffers however many links are active,
+//    and no delivered payload points into a sender's slab.  LinkOuts and
+//    slabs are double-buffered by barrier parity so the drain of
+//    superstep s never races the sends of superstep s+1; a machine
+//    resets the slab it fills next right after passing a barrier, when
+//    every receiver has drained it.  The tree barrier's acq_rel arrival
 //    chain and release-on-sense-flip provide the happens-before edges
 //    (tsan verified by the CI tsan job).
 //
@@ -159,7 +166,7 @@ class MachineContext {
   void send(std::size_t dst, std::uint16_t tag, PayloadRef payload);
   void send(std::size_t dst, std::uint16_t tag, std::vector<std::byte> payload);
   void send(std::size_t dst, std::uint16_t tag, Writer& writer);
-  /// Copies the bytes: into the link's frame when framed, otherwise into
+  /// Copies the bytes: into the sender's slab when framed, otherwise into
   /// a buffer of exactly payload.size().  For one payload sent to many
   /// peers from caller-owned storage.
   void send(std::size_t dst, std::uint16_t tag,
@@ -184,7 +191,7 @@ class MachineContext {
   friend class Engine;
   MachineContext(Engine* engine, std::size_t id, Rng rng);
 
-  /// A message that does not ride the frame, with its position among
+  /// A message that does not ride the slab, with its position among
   /// the link's messages of the superstep (send order).
   struct Unframed {
     PayloadRef payload;
@@ -192,13 +199,29 @@ class MachineContext {
     std::uint16_t tag = 0;
   };
   /// One link's pre-bucketed outbound traffic for one superstep parity:
-  /// `count` messages in send order.  The framed ones are the entries of
-  /// `frame` (u16 tag | varint(len) | bytes each, in send order); the
-  /// rest sit in `unframed`, ascending by position.
+  /// `count` messages in send order.  The framed ones (count -
+  /// unframed.size() of them, `framed_bytes` payload bytes in all) are
+  /// entries of the sender's slab of the same parity, chained from
+  /// `head` to `tail` by slab offset; the rest sit in `unframed`,
+  /// ascending by position.
   struct LinkOut {
     std::uint32_t count = 0;
-    std::vector<std::byte> frame;
+    std::uint32_t head = 0;
+    std::uint32_t tail = 0;
+    std::uint32_t framed_bytes = 0;
     std::vector<Unframed> unframed;
+  };
+  static_assert(sizeof(LinkOut) ==
+                4 * sizeof(std::uint32_t) + sizeof(std::vector<Unframed>));
+  /// One barrier parity's outbox: every framed entry the machine sent in
+  /// that superstep, all links interleaved in send order.  Grown
+  /// geometrically and never shrunk within a run; `used` is reset once
+  /// per superstep by its owner (Engine::drain_inbound and
+  /// discard_inbound).
+  struct Slab {
+    std::unique_ptr<std::byte[]> bytes;
+    std::size_t capacity = 0;
+    std::size_t used = 0;
   };
 
   /// Validates dst and returns its current-parity LinkOut.
@@ -206,12 +229,15 @@ class MachineContext {
   /// Charges the link (unbatched formula) and updates the sender's row
   /// aggregates.  Every send path funnels through here.
   void account_send(std::size_t dst, std::uint64_t payload_bytes);
-  /// Transport policy: payloads up to framed_payload_default_bytes(B)
-  /// ride the link's frame, whatever else the link carries.  Never
-  /// affects accounting or delivery order.
+  /// Transport policy: non-empty payloads up to
+  /// framed_payload_default_bytes(B) ride the sender's slab, whatever
+  /// else the link carries; an empty payload has no bytes to copy and
+  /// rides `unframed` ownerless.  Never affects accounting or delivery
+  /// order.
   bool should_frame(std::size_t payload_bytes) const;
-  /// Appends a small payload to the link's frame (acquiring a pooled
-  /// buffer on first use).
+  /// Appends a small payload to the current-parity slab and chains it
+  /// behind the link's tail.  Throws std::length_error if the slab would
+  /// grow past 2^32 - 1 bytes (its offsets are 32-bit).
   void send_framed(LinkOut& link, std::size_t dst, std::uint16_t tag,
                    std::span<const std::byte> payload);
   /// Records a message that keeps its own PayloadRef.
@@ -227,6 +253,7 @@ class MachineContext {
   // s&1 while receivers drain parity (s-1)&1 from the previous barrier.
   // Vectors keep their capacity across supersteps (slot pooling).
   std::array<std::vector<LinkOut>, 2> out_;
+  std::array<Slab, 2> slab_;  ///< framed entries, by the same parity
   std::vector<std::uint64_t> out_bits_;   ///< per-destination bit totals
   std::vector<std::uint64_t> out_msgs_;   ///< per-destination msg counts
   // Row aggregates over out_bits_/out_msgs_, maintained incrementally by
@@ -318,17 +345,19 @@ class Engine {
 
   /// Lock-free delivery (phase 3): builds every message addressed to
   /// `ctx` from the sources' parity LinkOuts in place at the end of
-  /// `into`, ascending source then send order, framed payloads as
-  /// zero-copy slices of each link's frame buffer.  Advances the
-  /// context's bucket parity.
+  /// `into`, ascending source then send order, framed payloads copied
+  /// out of the sources' slabs into one inbox arena and handed out as
+  /// slices of it.  Advances the context's bucket parity and resets the
+  /// slab it fills next.
   void drain_inbound(MachineContext& ctx, std::vector<Message>& into);
-  /// Same bucket walk for a finished machine: discards instead of
-  /// delivering (the merge step already counted these as dropped).
+  /// Same bucket walk for a finished machine: resets the counters
+  /// instead of delivering (the merge step already counted these as
+  /// dropped).
   void discard_inbound(MachineContext& ctx);
 
   std::size_t k_;
   EngineConfig config_;
-  /// Largest payload (bytes) should_frame() puts on a link's frame:
+  /// Largest payload (bytes) should_frame() puts on the sender's slab:
   /// framed_payload_default_bytes(config_.bandwidth_bits).
   std::size_t frame_threshold_;
 

@@ -130,11 +130,14 @@ class PayloadRef {
 
   /// Zero-copy sub-view of `len` bytes starting at `offset`, sharing this
   /// buffer's ownership.  Both are clamped to the view.  A delivered
-  /// framed message is such a view of its link's shared frame buffer.
-  /// Note the flip side of sharing: retaining one slice keeps the whole
-  /// underlying buffer alive.  A program that stores message payloads in
-  /// long-lived state should detach them with copy_of() instead of
-  /// holding the ref.
+  /// framed message is such a view of its receiver's inbox arena: one
+  /// buffer holding every small payload the machine received in that
+  /// superstep, from all sources.  Note the flip side of sharing:
+  /// retaining one slice keeps the whole underlying buffer alive, so a
+  /// kept (or forwarded — routing relays pass PayloadRefs on) framed
+  /// payload pins its receiver's whole inbox of that superstep.  A
+  /// program that stores message payloads in long-lived state should
+  /// detach them with copy_of() instead of holding the ref.
   PayloadRef slice(std::size_t offset, std::size_t len) const noexcept {
     PayloadRef out(*this);  // bumps the refcount
     out.remove_prefix(offset);
@@ -156,8 +159,8 @@ class PayloadRef {
 
  private:
   // The message plane's batched hand-out (Engine::drain_inbound): a
-  // link's frame becomes one buffer whose count is set once for all of
-  // its entries, instead of one atomic add per slice.
+  // receiver's inbox arena becomes one buffer whose count is set once
+  // for all of its slices, instead of one atomic add per slice.
   friend class Engine;
   /// Moves `bytes` into a fresh buffer that holds `refs` (>= 1)
   /// references, each of which must be adopted by exactly one
@@ -190,8 +193,9 @@ class PayloadRef {
 struct Message {
   /// Fixed per-message framing cost (tag), charged against bandwidth.
   /// Charged for every message — even ones the message plane physically
-  /// batches into a per-link frame — so the cost accounting is a pure
-  /// function of the program, independent of transport batching.
+  /// batches into a sender's slab and a receiver's inbox arena — so the
+  /// cost accounting is a pure function of the program, independent of
+  /// transport batching.
   static constexpr std::size_t kHeaderBits = 16;
 
   std::uint32_t src = 0;  ///< stamped by the message plane on submit
@@ -212,16 +216,17 @@ inline constexpr std::size_t kFramedPayloadMinDefaultBytes = 64;
 inline constexpr std::size_t kFramedPayloadMaxDefaultBytes = 4096;
 
 /// The framing threshold at per-link bandwidth B: the largest payload
-/// (bytes) the message plane batches into a per-link frame instead of
-/// giving it a refcounted buffer of its own.  Framing exists for
-/// messages far below the per-link round budget — a payload that fills
-/// a round alone amortizes its buffer — so the threshold is one round's
-/// worth of bytes, B/8, clamped to
+/// (bytes) the message plane batches — appended to the sender's outbox
+/// slab, then copied into the receiver's inbox arena — instead of giving
+/// it a refcounted buffer of its own.  Framing exists for messages far
+/// below the per-link round budget — a payload that fills a round alone
+/// amortizes its buffer — so the threshold is one round's worth of
+/// bytes, B/8, clamped to
 /// [kFramedPayloadMinDefaultBytes, kFramedPayloadMaxDefaultBytes].
-/// Applies to every Writer/vector/span send, a link's first message of
-/// the superstep included; PayloadRef sends (including broadcast) always
-/// stay zero-copy shared.  Purely a transport policy: accounting never
-/// depends on it.
+/// Applies to every non-empty Writer/vector/span send, a link's first
+/// message of the superstep included; PayloadRef sends (including
+/// broadcast) always stay zero-copy shared.  Purely a transport policy:
+/// accounting never depends on it.
 constexpr std::size_t framed_payload_default_bytes(
     std::uint64_t bandwidth_bits) noexcept {
   const std::uint64_t round_bytes = bandwidth_bits / 8;

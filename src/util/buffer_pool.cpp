@@ -9,9 +9,9 @@ namespace km {
 
 namespace {
 
-// The message plane recycles few, large buffers (one frame per link per
-// superstep), so the byte caps, not the count caps, bound what the pools
-// retain.  Each byte cap holds one buffer at the per-buffer cap: on a
+// The message plane recycles few, large buffers (one inbox arena per
+// receiver per superstep), so the byte caps, not the count caps, bound
+// what the pools retain.  Each byte cap holds one buffer at the per-buffer cap: on a
 // km_serve-like stream, 8 MiB / 32 MiB kept about 3.5 MB more resident
 // than 1 MiB / 1 MiB at the same pool hit ratio.
 constexpr std::size_t kMaxPooledBuffers = 256;
@@ -39,9 +39,9 @@ struct alignas(64) CounterCell {
 // local pool is full park here until some thread's acquire misses.  Only
 // the miss/overflow paths take the mutex, so the channel costs nothing
 // while local pools are in balance; under a worker pool (sim/executor),
-// where frames are acquired on the sender's worker and released on the
-// receiver's, it is what keeps capacities circulating instead of being
-// re-allocated every superstep.
+// where unframed payloads are acquired on the sender's worker and
+// released on the receiver's, it is what keeps capacities circulating
+// instead of being re-allocated every superstep.
 struct Shelf {
   Shelf() { buffers.reserve(kMaxShelfBuffers); }
   Mutex mutex;
@@ -180,7 +180,7 @@ void recycle_buffer(std::vector<std::byte>&& buf) noexcept {
   if (pool.buffers.size() >= kMaxPooledBuffers ||
       pool.pooled_bytes + buf.capacity() > kMaxPooledBytes) {
     // Local overflow: offer it to the cross-thread return channel — under
-    // a worker pool this is the receiver handing the sender's frame
+    // a worker pool this is the receiver handing the sender's payload
     // capacity back — and only free it when the shelf is full too.
     const std::uint64_t capacity = buf.capacity();
     if (shelf_push(std::move(buf))) {

@@ -1,31 +1,33 @@
 // Thread-local recycling of byte buffers, with a shared return channel.
 //
-// The message plane allocates byte buffers (Writer storage, one frame per
-// link per superstep, unframed payloads) and frees them when the last
-// PayloadRef drops; at millions of messages per second that allocator
-// churn dominates.  acquire_buffer()/recycle_buffer()
+// The message plane allocates byte buffers (Writer storage, one inbox
+// arena per receiver per superstep, unframed payloads) and frees them
+// when the last PayloadRef drops; at millions of messages per second
+// that allocator churn dominates.  acquire_buffer()/recycle_buffer()
 // keep a small per-thread free list of vectors so payload, Writer, and
-// frame storage is reused across supersteps.  Buffers recycle into the
+// arena storage is reused across supersteps.  Buffers recycle into the
 // pool of whichever thread releases them (typically the receiver), which
 // matches the SPMD engine where every machine both sends and receives.
 //
 // Worker pools break the per-thread symmetry: with k machines multiplexed
-// over W workers, frame buffers are acquired on the *sender's* worker and
-// released on the *receiver's*, so one worker's pool drains (every
-// acquire a fresh allocation) while another's overflows (every recycle an
-// eviction).  The shared shelf closes the loop: a recycle that overflows
-// its local pool parks the buffer on a global mutex-protected shelf
-// instead of freeing it, and an acquire that misses its local pool
-// refills from the shelf before falling back to a fresh vector.  Shelf
-// traffic only happens on the local miss/overflow paths — the hot
-// hit/recycle paths never touch the mutex — and a dying worker flushes
-// its remaining buffers to the shelf so capacities stay warm across
-// engine runs.
+// over W workers, an unframed payload's storage is acquired on the
+// *sender's* worker (Writer::take) and released on the *receiver's*, so
+// one worker's pool drains (every acquire a fresh allocation) while
+// another's overflows (every recycle an eviction).  An inbox arena is
+// acquired and, unless a slice of it is kept or forwarded, released on
+// its receiver's own worker.  The shared shelf closes the loop: a
+// recycle that overflows its local pool parks the buffer on a global
+// mutex-protected shelf instead of freeing it, and an acquire that
+// misses its local pool refills from the shelf before falling back to a
+// fresh vector.  Shelf traffic only happens on the local miss/overflow
+// paths — the hot hit/recycle paths never touch the mutex — and a dying
+// worker flushes its remaining buffers to the shelf so capacities stay
+// warm across engine runs.
 //
 // Every pool op also maintains counters so a workload can tell when it
 // thrashes past the caps (256 buffers, 1 MiB per buffer, 1 MiB per
 // thread; 1024 buffers / 1 MiB on the shelf; with the message plane's
-// one frame per link, the byte caps are the ones that bind):
+// O(k) buffers per superstep, the byte caps are the ones that bind):
 // buffer_pool_counters() aggregates the cumulative hit/miss/eviction/
 // shelf counts across all threads (live and exited) plus the current
 // occupancy of the live pools and the shelf.  The counters are

@@ -26,7 +26,13 @@ void Writer::put_u16(std::uint16_t v) { append_le(buf_, v); }
 void Writer::put_u32(std::uint32_t v) { append_le(buf_, v); }
 void Writer::put_u64(std::uint64_t v) { append_le(buf_, v); }
 
-void Writer::put_varint(std::uint64_t v) { append_varint(buf_, v); }
+void Writer::put_varint(std::uint64_t v) {
+  while (v >= 0x80) {
+    buf_.push_back(static_cast<std::byte>((v & 0x7f) | 0x80));
+    v >>= 7;
+  }
+  buf_.push_back(static_cast<std::byte>(v));
+}
 
 void Writer::put_varint_signed(std::int64_t v) {
   const auto u = static_cast<std::uint64_t>(v);
@@ -125,14 +131,6 @@ std::size_t varint_size(std::uint64_t v) noexcept {
     ++n;
   }
   return n;
-}
-
-void append_varint(std::vector<std::byte>& buf, std::uint64_t v) {
-  while (v >= 0x80) {
-    buf.push_back(static_cast<std::byte>((v & 0x7f) | 0x80));
-    v >>= 7;
-  }
-  buf.push_back(static_cast<std::byte>(v));
 }
 
 }  // namespace km

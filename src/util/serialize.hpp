@@ -89,9 +89,4 @@ class Reader {
 /// Number of bytes a varint encoding of v occupies (for cost estimates).
 std::size_t varint_size(std::uint64_t v) noexcept;
 
-/// Appends the LEB128 varint encoding of v to a raw byte buffer (the
-/// Writer-free flavor, for builders that own their storage — e.g. the
-/// message plane's per-link frames).
-void append_varint(std::vector<std::byte>& buf, std::uint64_t v);
-
 }  // namespace km

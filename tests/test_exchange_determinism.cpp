@@ -207,7 +207,7 @@ TEST(PayloadRef, EmptyPayloadHasNoOwner) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-link frame batching
+// Small-message framing: sender slabs and receiver inbox arenas
 // ---------------------------------------------------------------------------
 
 // The framing threshold follows from B (framed_payload_default_bytes in
@@ -454,12 +454,12 @@ TEST(Framing, BandwidthControlsTransportSharing) {
   EXPECT_EQ(all[1].max_link_bits_superstep, all[0].max_link_bits_superstep);
 }
 
-TEST(Framing, SmallPayloadsShareOneFrameBufferPerLink) {
-  // Transport-level zero-copy: every small message of a (src, dst,
-  // superstep), the link's first included, is a slice of a single frame
-  // buffer, and a payload past the framing threshold always gets its own
-  // buffer.
-  Engine engine(2, {.bandwidth_bits = kTestBandwidth, .seed = 5});
+TEST(Framing, SmallPayloadsShareTheInboxArena) {
+  // Transport-level zero-copy: every small message a machine receives in
+  // a superstep, a link's first included and whichever source sent it,
+  // is a slice of one inbox arena, and a payload past the framing
+  // threshold always gets its own buffer.
+  Engine engine(3, {.bandwidth_bits = kTestBandwidth, .seed = 5});
   engine.run([&](MachineContext& ctx) {
     if (ctx.id() == 0) {
       for (std::uint64_t i = 0; i < 3; ++i) {
@@ -471,25 +471,165 @@ TEST(Framing, SmallPayloadsShareOneFrameBufferPerLink) {
       big.put_bytes(std::vector<std::byte>(kTestFrameBytes + 1,
                                            std::byte{0x42}));
       ctx.send(1, 2, big);
+    } else if (ctx.id() == 2) {
+      for (std::uint64_t i = 10; i < 12; ++i) {
+        Writer w;
+        w.put_varint(i);
+        ctx.send(1, 3, w);
+      }
     }
     const auto in = ctx.exchange();
     if (ctx.id() == 1) {
-      ASSERT_EQ(in.size(), 4u);
+      ASSERT_EQ(in.size(), 6u);
       EXPECT_TRUE(in[0].payload.shares_buffer_with(in[1].payload))
-          << "a link's first small message shares the link frame";
+          << "a link's first small message shares the inbox arena";
       EXPECT_TRUE(in[1].payload.shares_buffer_with(in[2].payload))
-          << "later small messages share the link frame";
+          << "later small messages share the inbox arena";
       EXPECT_FALSE(in[3].payload.shares_buffer_with(in[1].payload))
-          << "oversized payloads must not ride the frame";
+          << "oversized payloads must not ride the arena";
       for (std::uint64_t i = 0; i < 3; ++i) {
         Reader r(in[i].payload);
         EXPECT_EQ(r.get_varint(), i);
       }
       EXPECT_EQ(in[3].payload.size(), kTestFrameBytes + 1);
+      // The second sender's small messages land in the same arena.
+      for (std::size_t i = 4; i < 6; ++i) {
+        EXPECT_EQ(in[i].src, 2u);
+        EXPECT_TRUE(in[i].payload.shares_buffer_with(in[0].payload))
+            << "small messages from every source share one arena";
+        Reader r(in[i].payload);
+        EXPECT_EQ(r.get_varint(), 10 + (i - 4));
+      }
     } else {
       EXPECT_TRUE(in.empty());
     }
   });
+}
+
+TEST(Framing, OneInboxArenaPerReceiverPerSuperstep) {
+  // The message plane's buffer budget: a superstep costs one inbox
+  // arena per receiver, however many links carry small messages, so 48
+  // active links per machine over 8 supersteps take 8 * 64 payload
+  // buffers, plus one per unframed send — not one per active link.
+  constexpr std::size_t kMachines = 64;
+  constexpr std::size_t kPeers = 48;
+  constexpr int kSupersteps = 8;
+  constexpr int kMixedStep = 3;  // superstep with the two unframed sends
+  constexpr std::size_t kUnframedSends = 2;
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE(testing::Message() << "workers=" << workers);
+    Engine engine(kMachines, {.bandwidth_bits = kTestBandwidth,
+                              .seed = 12,
+                              .workers = workers});
+    const Metrics metrics = engine.run([&](MachineContext& ctx) {
+      for (int step = 0; step < kSupersteps; ++step) {
+        for (std::size_t j = 1; j <= kPeers; ++j) {
+          Writer w;
+          w.put_varint(ctx.id() * 1000 + static_cast<std::size_t>(step));
+          ctx.send((ctx.id() + j) % kMachines, 1, w);
+        }
+        if (step == kMixedStep && ctx.id() == 0) {
+          Writer ref;
+          ref.put_varint(7);
+          ctx.send(1, 2, PayloadRef(ref.take()));
+          Writer big;
+          big.put_bytes(std::vector<std::byte>(kTestFrameBytes + 1,
+                                               std::byte{0x42}));
+          ctx.send(1, 3, big);
+        }
+        const auto in = ctx.exchange();
+        const bool mixed = step == kMixedStep && ctx.id() == 1;
+        ASSERT_EQ(in.size(), kPeers + (mixed ? kUnframedSends : 0));
+        const Message* first_small = nullptr;
+        std::size_t sources = 0;
+        for (const Message& msg : in) {
+          if (msg.tag != 1) {
+            EXPECT_TRUE(mixed);
+            continue;
+          }
+          if (first_small == nullptr) first_small = &msg;
+          EXPECT_TRUE(msg.payload.shares_buffer_with(first_small->payload))
+              << "src " << msg.src << " step " << step;
+          Reader r(msg.payload);
+          EXPECT_EQ(r.get_varint(),
+                    msg.src * 1000 + static_cast<std::size_t>(step));
+          ++sources;
+        }
+        EXPECT_EQ(sources, kPeers);
+        if (mixed) {
+          ASSERT_NE(first_small, nullptr);
+          for (const Message& msg : in) {
+            if (msg.tag == 1) continue;
+            EXPECT_FALSE(msg.payload.shares_buffer_with(first_small->payload))
+                << "unframed tag " << msg.tag << " rode the inbox arena";
+          }
+        }
+      }
+    });
+    EXPECT_EQ(metrics.messages,
+              kMachines * kPeers * kSupersteps + kUnframedSends);
+    EXPECT_LE(metrics.payload_pool.hits + metrics.payload_pool.misses,
+              kMachines * kSupersteps + kUnframedSends);
+  }
+}
+
+TEST(Framing, RetainedPayloadSurvivesSlabReuse) {
+  // Delivered payloads must own their bytes: machine 1 keeps what it got
+  // in superstep 0 (one copied PayloadRef, one moved Message) and
+  // forwards one to machine 2 as a PayloadRef, while every machine
+  // keeps sending same-sized, different bytes for three more supersteps
+  // so both parities of every sender's slab are refilled.  A delivery
+  // that viewed the sender's slab would see those later bytes.
+  constexpr std::size_t kMachines = 4;
+  constexpr std::size_t kPayload = 24;
+  const auto bytes_of = [](std::size_t src, int step) {
+    return std::vector<std::byte>(
+        kPayload, static_cast<std::byte>(0x10 * (step + 1) + src));
+  };
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE(testing::Message() << "workers=" << workers);
+    PayloadRef kept_ref;
+    Message kept_msg;
+    PayloadRef forwarded;
+    Engine engine(kMachines, {.bandwidth_bits = kTestBandwidth,
+                              .seed = 13,
+                              .workers = workers});
+    engine.run([&](MachineContext& ctx) {
+      for (int step = 0; step < 4; ++step) {
+        for (std::size_t dst = 0; dst < kMachines; ++dst) {
+          if (dst == ctx.id()) continue;
+          const std::vector<std::byte> bytes = bytes_of(ctx.id(), step);
+          ctx.send(dst, 1, std::span<const std::byte>(bytes));
+        }
+        if (step == 1 && ctx.id() == 1) ctx.send(2, 2, kept_ref);
+        auto in = ctx.exchange();
+        if (step == 0 && ctx.id() == 1) {
+          ASSERT_EQ(in.size(), kMachines - 1);
+          kept_ref = in[0].payload;  // from machine 0
+          kept_msg = std::move(in[2]);  // from machine 3
+        }
+        if (step == 1 && ctx.id() == 2) {
+          // Three peers plus the forward, which follows machine 1's
+          // small message on their link.
+          ASSERT_EQ(in.size(), kMachines);
+          ASSERT_EQ(in[2].tag, 2u);
+          forwarded = in[2].payload;
+        }
+      }
+      if (ctx.id() == 1) {
+        EXPECT_TRUE(std::ranges::equal(kept_ref.view(), bytes_of(0, 0)));
+        EXPECT_TRUE(std::ranges::equal(kept_msg.payload.view(),
+                                       bytes_of(3, 0)));
+      }
+      if (ctx.id() == 2) {
+        EXPECT_TRUE(std::ranges::equal(forwarded.view(), bytes_of(0, 0)));
+      }
+    });
+    EXPECT_EQ(kept_msg.src, 3u);
+    EXPECT_TRUE(std::ranges::equal(kept_ref.view(), bytes_of(0, 0)));
+    EXPECT_TRUE(std::ranges::equal(kept_msg.payload.view(), bytes_of(3, 0)));
+    EXPECT_TRUE(std::ranges::equal(forwarded.view(), bytes_of(0, 0)));
+  }
 }
 
 TEST(Framing, EmptyAndThresholdBoundaryPayloads) {

@@ -186,6 +186,48 @@ TEST(Sketch, RecoverMatchesPowmodReference) {
   }
 }
 
+// Loops over many cells (L0Sketch::sample/sample_all, connectivity's
+// holders) resolve the power table once and pass it to the 3-argument
+// recover(); it must agree with the 2-argument form on every cell of a
+// sketch, for a universe that is not a power of two, for 2^24 and for
+// the full 64-bit universe (0, no table).
+TEST(Sketch, HoistedPowerTableRecoverMatchesTwoArgumentForm) {
+  struct Case {
+    std::uint32_t id_bits;
+    std::uint64_t universe;
+  };
+  for (const Case c : {Case{10, 1001}, Case{24, std::uint64_t{1} << 24},
+                       Case{64, 0}}) {
+    Rng rng(mix64(c.id_bits, c.universe));
+    const L0SketchShape shape{.id_bits = c.id_bits, .rows = 4, .seed = 29};
+    L0Sketch sparse(shape);
+    L0Sketch dense(shape);
+    for (int i = 0; i < 200; ++i) {
+      const std::uint64_t id =
+          c.universe == 0 ? rng.next() : rng.below(c.universe);
+      if (i < 3) sparse.add(id, i % 2 == 0 ? +1 : -1);
+      dense.add(id, rng.below(2) == 0 ? +1 : -1);
+    }
+    const std::uint64_t z = dense.fingerprint_base();
+    const auto* powers = SketchCell::recovery_powers(z, c.universe);
+    EXPECT_EQ(powers == nullptr, c.universe == 0);
+    std::size_t recovered = 0;
+    for (const L0Sketch* sketch : {&sparse, &dense}) {
+      for (std::size_t row = 0; row < shape.rows; ++row) {
+        for (std::size_t level = 0; level < shape.levels(); ++level) {
+          const SketchCell cell = sketch->cell(row, level);
+          const auto want = cell.recover(z, c.universe);
+          EXPECT_EQ(cell.recover(z, c.universe, powers), want)
+              << "universe=" << c.universe << " row=" << row
+              << " level=" << level;
+          recovered += want.has_value();
+        }
+      }
+    }
+    EXPECT_GT(recovered, 0u) << "universe=" << c.universe;
+  }
+}
+
 TEST(Sketch, CellLinearityAndSerializationRoundTrip) {
   const std::uint64_t z = sketch_fingerprint_base(13);
   Rng rng(99);
