@@ -1,7 +1,7 @@
 // Message-plane microbenchmark: raw exchange() throughput, independent of
 // any graph algorithm.
 //
-// Four workloads stress the costs the message plane pays per superstep:
+// These workloads stress the costs the message plane pays per superstep:
 // (1) broadcast-heavy — every machine broadcasts the same payload to all
 // k-1 peers, so payload copying (or sharing) dominates; (2) unique
 // fan-out — every machine sends a distinct message to every peer, so
@@ -12,9 +12,10 @@
 // buffer per machine per superstep on each side); (3) two-hop shuffle —
 // route_via_random_intermediate, so envelope (re)serialization dominates;
 // (4) barrier latency — empty supersteps at k up to 256, so the tree
-// barrier's rendezvous and wake-up are the whole cost; (5) speedup vs
-// workers — a compute-bound fleet at every pool width, so the series
-// reads directly as the executor's parallel efficiency.  Throughput
+// barrier's rendezvous and wake-up are the whole cost, and collective
+// latency — the same supersteps each running an all_reduce_sum; (5)
+// speedup vs workers — a compute-bound fleet at every pool width, so the
+// series reads directly as the executor's parallel efficiency.  Throughput
 // counters are bytes of payload handed to the message plane per second,
 // which makes before/after comparisons of the plane itself meaningful.
 #include <benchmark/benchmark.h>
@@ -222,6 +223,32 @@ void BM_BarrierLatency(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_BarrierLatency)->Arg(16)->Arg(64)->Arg(256)
+    ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()->UseRealTime();
+
+void BM_CollectiveLatency(benchmark::State& state) {
+  // BM_BarrierLatency with an all_reduce_sum in every superstep: the
+  // difference between the two rows is what a collective adds to a bare
+  // rendezvous — charging k - 1 messages per machine and reading the k
+  // values — with the same run shape, so the pair reads as the
+  // collective layer's before/after number.
+  const auto machines = static_cast<std::size_t>(state.range(0));
+  constexpr int kSteps = 16;
+  for (auto _ : state) {
+    Engine engine(machines, {.bandwidth_bits = kBandwidth, .seed = 24});
+    engine.run([&](MachineContext& ctx) {
+      for (int step = 0; step < kSteps; ++step) {
+        const std::uint64_t total = ctx.all_reduce_sum(ctx.id());
+        if (total != machines * (machines - 1) / 2) {
+          throw std::logic_error("bench_exchange: wrong all_reduce_sum");
+        }
+      }
+    });
+  }
+  state.counters["collectives/s"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * kSteps),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_CollectiveLatency)->Arg(16)->Arg(64)->Arg(256)
     ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()->UseRealTime();
 
 void BM_SpeedupVsWorkers(benchmark::State& state) {

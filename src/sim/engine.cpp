@@ -231,23 +231,29 @@ std::vector<Message> MachineContext::exchange() {
 }
 
 std::vector<std::uint64_t> MachineContext::all_gather(std::uint64_t value) {
-  Writer w;
-  w.put_varint(value);
-  broadcast(kCollectiveTag, w);
-  // Collective-tagged messages are always consumed in the superstep that
-  // sent them, so stashed leftovers survive the detour through exchange()
-  // unchanged: they come back at the front of `raw` and go straight back
-  // into the stash, preserving order.
-  std::vector<Message> raw = exchange();
-  std::vector<std::uint64_t> values(k(), 0);
-  values[id_] = value;
-  for (auto& msg : raw) {
-    if (msg.tag == kCollectiveTag) {
-      Reader r(msg.payload);
-      values[msg.src] = r.get_varint();
-    } else {
-      stashed_.push_back(std::move(msg));
+  // Charged as a broadcast of the value's varint: one message to every
+  // peer, so rounds, bits, link maxima, drops and link traces fold from
+  // the counters exactly as for k - 1 sends.  The value itself travels
+  // through the engine's slot array; no Message is built.
+  {
+    const SendTimer timer(trace_);
+    const std::size_t bytes = varint_size(value);
+    for (std::size_t dst = 0; dst < k(); ++dst) {
+      if (dst != id_) account_send(dst, bytes);
     }
+  }
+  std::vector<Engine::CollectiveSlot>& slots =
+      engine_->collective_[barriers_passed_ & 1];
+  const std::uint64_t stamp = barriers_passed_ + 1;
+  slots[id_] = {.value = value, .stamp = stamp};
+  // Everything this exchange() returns, stashed leftovers first, goes
+  // back into the stash in order.
+  stashed_ = exchange();
+  std::vector<std::uint64_t> values(k(), 0);
+  for (std::size_t m = 0; m < values.size(); ++m) {
+    // A stale stamp is a machine that finished before this superstep:
+    // it contributes 0.
+    if (slots[m].stamp == stamp) values[m] = slots[m].value;
   }
   return values;
 }
@@ -324,6 +330,8 @@ Metrics Engine::run(const Program& program) {
     std::fill(acc.recv_msgs.begin(), acc.recv_msgs.end(), 0);
   }
   barrier_.fold_phase.release();
+  // Stamps restart with the contexts' barrier counts: clear last run's.
+  for (auto& slots : collective_) slots.assign(k_, CollectiveSlot{});
   stop_.store(false, std::memory_order_relaxed);
   finished_count_.store(0, std::memory_order_relaxed);
   {
@@ -339,9 +347,9 @@ Metrics Engine::run(const Program& program) {
   {
     // One fiber per machine, multiplexed over the worker pool.  When a
     // machine parks at the barrier the worker polls
-    // TreeBarrier::released() for it; when a worker's whole block is
-    // parked it futex-waits on the barrier's sense word (the only event
-    // that can make a parked machine runnable).
+    // TreeBarrier::released() for it; when all of a worker's machines
+    // are parked it futex-waits on the barrier's sense word (the only
+    // event that can make a parked machine runnable).
     Executor executor(k_, config_.workers,
                       IdleHooks{.epoch = &Engine::idle_epoch,
                                 .wait = &Engine::idle_wait,

@@ -10,8 +10,9 @@
 // between exchanges is free, as in the paper.
 //
 // Execution model: machines are stackful fibers multiplexed over a
-// bounded pool of EngineConfig::workers OS threads (sim/executor.hpp) in
-// static contiguous blocks.  A machine that reaches the superstep
+// bounded pool of EngineConfig::workers OS threads (sim/executor.hpp),
+// dealt to workers statically in groups of up to four consecutive ids,
+// one barrier leaf each.  A machine that reaches the superstep
 // barrier parks its fiber — the worker switches to its next runnable
 // machine instead of blocking — so barrier arrival/release is
 // machine-granular and k can exceed the core count by orders of
@@ -44,7 +45,11 @@
 //    over the threshold) go to a side vector with their position on the
 //    link.  broadcast() and the PayloadRef overload are never framed:
 //    they share one immutable PayloadRef across receivers (zero-copy),
-//    which is already cheaper than k-1 copies.  Accounting is
+//    which is already cheaper than k-1 copies.  Collectives send no
+//    message at all: all_gather charges each of the machine's k-1
+//    links one message of the value's varint, as a broadcast would, and
+//    writes the value into the engine's per-machine slot array, which
+//    every machine reads after the barrier.  Accounting is
 //    deliberately *unbatched*: every message is still charged
 //    Message::kHeaderBits + 8 * payload_bytes against its link, framed or
 //    not, so rounds/bits/max_link_bits are byte-identical to an
@@ -137,7 +142,8 @@ struct EngineConfig {
   std::function<void(std::uint64_t superstep)> barrier_fault_injection = {};
   /// OS threads the executor multiplexes the k machine fibers over; 0
   /// means hardware concurrency.  The executor uses at most this many,
-  /// and every worker owns at least one machine (sim/executor.hpp).
+  /// deals machines to them in barrier leaf groups, and gives every
+  /// worker at least one machine (sim/executor.hpp).
   /// Pure execution policy: results are byte-identical at every
   /// setting (like `trace`, it is deliberately absent from serialized
   /// run parameters).
@@ -178,10 +184,14 @@ class MachineContext {
 
   /// Superstep boundary: flush sends, synchronize with all machines,
   /// return the messages delivered to this machine (ascending source,
-  /// then send order; stashed collective leftovers first).
+  /// then send order; messages delivered during collectives first).
   std::vector<Message> exchange();
 
-  // ---- Collectives (each costs one superstep; built on exchange) ----
+  // ---- Collectives (each costs one superstep) ----
+  // Charged as a broadcast of the value's varint, delivered without
+  // messages.  A machine that has finished contributes 0.  Messages the
+  // collective's exchange delivers are kept, in order, for the next
+  // exchange().
   std::uint64_t all_reduce_sum(std::uint64_t value);
   std::uint64_t all_reduce_max(std::uint64_t value);
   bool all_reduce_or(bool value);
@@ -264,7 +274,7 @@ class MachineContext {
   std::uint64_t row_max_ = 0;    ///< max over dst of out_bits_[dst]
   std::uint64_t barriers_passed_ = 0;     ///< drives the bucket parity
 
-  std::vector<Message> stashed_;  // non-collective msgs seen by collectives
+  std::vector<Message> stashed_;  // messages delivered during collectives
   bool finished_ = false;
 
   /// This machine's span recorder, or null when the run is untraced.
@@ -362,6 +372,19 @@ class Engine {
   std::size_t frame_threshold_;
 
   std::vector<std::unique_ptr<MachineContext>> contexts_;
+
+  /// One machine's all_gather value, stamped with the superstep it was
+  /// given in (its barriers passed, plus one).
+  struct CollectiveSlot {
+    std::uint64_t value = 0;
+    std::uint64_t stamp = 0;
+  };
+  /// all_gather's values, indexed by machine and double-buffered by
+  /// barrier parity like the LinkOuts: each machine writes its own slot
+  /// before it arrives and reads all k after the release, and cannot
+  /// write that parity again until every machine has arrived at the
+  /// next barrier, i.e. has read it.
+  std::array<std::vector<CollectiveSlot>, 2> collective_;
 
   /// Recreated at the top of each traced run; machine threads write their
   /// own buffers through MachineContext::trace_, the fold/finalize hooks

@@ -1,7 +1,10 @@
 #include "sim/executor.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <thread>
+
+#include "sim/barrier.hpp"
 
 namespace km {
 
@@ -30,18 +33,13 @@ Executor::Executor(std::size_t machines, std::size_t workers, IdleHooks idle)
     : idle_(idle) {
   if (workers == 0) workers = default_worker_count();
   if (machines == 0) machines = 1;
-  workers_ = workers < machines ? workers : machines;
-  block_ = (machines + workers_ - 1) / workers_;
-  // ceil(k / W)-sized blocks can cover k in fewer than W workers (k = 5,
-  // W = 4 gives blocks of 2: three suffice); drop the workers that would
-  // own nothing, so every worker owns at least one machine.
-  workers_ = (machines + block_ - 1) / block_;
+  workers = std::min(workers, machines);
+  group_ = std::min(TreeBarrier::kArity, (machines + workers - 1) / workers);
+  // Fewer groups than workers leaves some workers with nothing (k = 5,
+  // W = 4 deals groups of 2: three suffice); drop them, so every worker
+  // owns at least one machine.
+  workers_ = std::min(workers, (machines + group_ - 1) / group_);
   machines_.resize(machines);
-  worker_state_.resize(workers_);
-}
-
-std::size_t Executor::worker_of(std::size_t machine) const noexcept {
-  return machine / block_;
 }
 
 void Executor::fiber_entry(void* raw) {
@@ -66,61 +64,61 @@ void Executor::fiber_entry(void* raw) {
 }
 
 void Executor::worker_loop(std::size_t w) {
-  const std::size_t begin = w * block_;
-  std::size_t end = begin + block_;
-  if (end > machines_.size()) end = machines_.size();
-
-  FiberContext native;  // constructed here so TSan keys it to this thread
-  worker_state_[w].native = &native;
-
-  // Fibers are created (and their TSan state allocated) on the owning
-  // worker; contexts live on this frame and die when the block is done.
-  std::vector<RunningFiber> slots(end - begin);
-  std::vector<std::unique_ptr<FiberContext>> fibers;
-  fibers.reserve(end - begin);
-  for (std::size_t m = begin; m < end; ++m) {
-    auto& slot = slots[m - begin];
-    slot.executor = this;
-    slot.machine = m;
-    slot.scheduler = &native;
-    fibers.push_back(std::make_unique<FiberContext>(
-        machines_[m].stack, &Executor::fiber_entry, &slot));
-    slot.context = fibers.back().get();
-    machines_[m].fiber = fibers.back().get();
+  // This worker's machines, ascending: groups w, w + W', w + 2W', ...
+  std::vector<std::size_t> mine;
+  const std::size_t k = machines_.size();
+  for (std::size_t first = w * group_; first < k;
+       first += workers_ * group_) {
+    for (std::size_t m = first; m < std::min(first + group_, k); ++m) {
+      mine.push_back(m);
+    }
   }
 
-  std::size_t live = end - begin;
+  FiberContext native;  // constructed here so TSan keys it to this thread
+
+  // Fibers are created (and their TSan state allocated) on the owning
+  // worker; contexts live on this frame and die when its machines are.
+  std::vector<RunningFiber> slots(mine.size());
+  std::vector<std::unique_ptr<FiberContext>> fibers;
+  fibers.reserve(mine.size());
+  for (std::size_t i = 0; i < mine.size(); ++i) {
+    auto& slot = slots[i];
+    slot.executor = this;
+    slot.machine = mine[i];
+    slot.scheduler = &native;
+    fibers.push_back(std::make_unique<FiberContext>(
+        machines_[mine[i]].stack, &Executor::fiber_entry, &slot));
+    slot.context = fibers.back().get();
+  }
+
+  std::size_t live = mine.size();
   while (live > 0) {
     bool progressed = false;
-    for (std::size_t m = begin; m < end; ++m) {
-      Machine& mach = machines_[m];
+    for (std::size_t i = 0; i < mine.size(); ++i) {
+      Machine& mach = machines_[mine[i]];
       if (mach.done) continue;
-      if (mach.parked && !mach.ready(mach.ready_arg, m)) continue;
+      if (mach.parked && !mach.ready(mach.ready_arg, mine[i])) continue;
       mach.parked = false;
-      g_running = slots[m - begin];
-      worker_state_[w].current = mach.fiber;
-      FiberContext::switch_to(native, *mach.fiber);
-      worker_state_[w].current = nullptr;
+      g_running = slots[i];
+      FiberContext::switch_to(native, *slots[i].context);
       progressed = true;
       if (mach.done) --live;
     }
     if (live == 0) break;
     if (progressed || idle_.epoch == nullptr) continue;
-    // Whole block parked, nothing ready: sleep until the wake event's
+    // Every machine parked, nothing ready: sleep until the wake event's
     // generation moves.  Sampling the epoch before the recheck closes
     // the missed-wakeup window (a release landing after the recheck
     // leaves epoch != seen, so wait() falls through immediately).
     const std::uint64_t seen = idle_.epoch(idle_.arg);
     bool any_ready = false;
-    for (std::size_t m = begin; m < end && !any_ready; ++m) {
-      Machine& mach = machines_[m];
-      any_ready = !mach.done && mach.parked && mach.ready(mach.ready_arg, m);
+    for (std::size_t i = 0; i < mine.size() && !any_ready; ++i) {
+      Machine& mach = machines_[mine[i]];
+      any_ready =
+          !mach.done && mach.parked && mach.ready(mach.ready_arg, mine[i]);
     }
     if (!any_ready) idle_.wait(idle_.arg, seen);
   }
-
-  for (std::size_t m = begin; m < end; ++m) machines_[m].fiber = nullptr;
-  worker_state_[w].native = nullptr;
 }
 
 void Executor::run(MachineMain fn) {

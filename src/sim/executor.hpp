@@ -2,19 +2,30 @@
 //
 // The paper's interesting regime is huge k (congested clique, k close to
 // n), far beyond the hardware thread count; a thread per machine stops
-// scaling near the core count.  The executor assigns machines to workers
-// in static contiguous blocks (no migration — this keeps per-machine
-// trace buffers single-writer and lets thread-local pools key cleanly on
-// the worker), gives each machine a stackful fiber (sim/fiber.hpp), and
-// cooperatively schedules: when a machine parks — in practice, at the
-// superstep barrier inside exchange() — the worker switches to its next
-// runnable machine instead of blocking in a futex.
+// scaling near the core count.  The executor gives each machine a
+// stackful fiber (sim/fiber.hpp) and cooperatively schedules: when a
+// machine parks — in practice, at the superstep barrier inside
+// exchange() — the worker switches to its next runnable machine instead
+// of blocking in a futex.
+//
+// Placement: machines are dealt to workers in groups of g consecutive
+// ids, g = min(TreeBarrier::kArity, ceil(k / W)), round-robin: machine m
+// runs on worker (m / g) mod W', where W' is the number of workers that
+// get at least one group.  A group of kArity is one barrier leaf, so a
+// leaf's arrivals and its fold stay on one worker, while a run of busy
+// machines with adjacent ids (TriPartition's tuple machines sit at ids
+// 0 .. tuples-1) spreads over every worker instead of filling the first
+// one's contiguous block.  When ceil(k / W) <= kArity the deal is the
+// same as contiguous blocks of ceil(k / W).  Placement is static, with
+// no migration: per-machine trace buffers stay single-writer, buffer
+// pools stay worker-local, and a fiber never resumes on another thread
+// (compilers may cache a thread_local's address across the switch).
 //
 // Parking protocol: a machine calls Executor::park(ready, arg) from its
 // own fiber.  `ready(arg, machine)` is the resume predicate, polled by
 // the owning worker only (cheap atomic loads; for the engine it is
-// TreeBarrier::released()).  When every live machine of a worker's block
-// is parked and none is ready, the worker sleeps through IdleHooks:
+// TreeBarrier::released()).  When every live machine of a worker is
+// parked and none is ready, the worker sleeps through IdleHooks:
 //
 //   seen = hooks.epoch(arg);     // sample the wake-event generation
 //   if (none of the parked machines is ready)   // recheck under `seen`
@@ -45,8 +56,8 @@
 
 namespace km {
 
-/// How a worker sleeps when its whole block is parked and nothing is
-/// ready.  See the file comment for the missed-wakeup protocol.
+/// How a worker sleeps when all of its machines are parked and nothing
+/// is ready.  See the file comment for the missed-wakeup protocol.
 struct IdleHooks {
   /// Generation count of the wake event (monotone modulo wrap).
   std::uint64_t (*epoch)(void* arg) = nullptr;
@@ -67,16 +78,17 @@ class Executor {
 
   /// `workers == 0` means hardware concurrency.  The effective count,
   /// reported by worker_count(), is at most `workers` and at most
-  /// `machines`, and every worker owns at least one machine: the block
-  /// size is ceil(machines / workers), and workers whose block would be
-  /// empty are dropped.  Every machine fiber gets a
-  /// kDefaultFiberStackBytes stack.
+  /// `machines`, and every worker owns at least one machine: workers
+  /// that the group deal (file comment) leaves without a group are
+  /// dropped.  Every machine fiber gets a kDefaultFiberStackBytes stack.
   Executor(std::size_t machines, std::size_t workers, IdleHooks idle);
 
   std::size_t worker_count() const noexcept { return workers_; }
   std::size_t machine_count() const noexcept { return machines_.size(); }
-  /// The worker that owns `machine` (static block assignment).
-  std::size_t worker_of(std::size_t machine) const noexcept;
+  /// The worker that owns `machine`: (machine / g) mod worker_count().
+  std::size_t worker_of(std::size_t machine) const noexcept {
+    return machine / group_ % workers_;
+  }
 
   /// Runs every machine to completion on the pool and joins the workers.
   /// Blocking: returns only when all k programs have finished.  Rethrows
@@ -92,12 +104,10 @@ class Executor {
   static std::size_t default_worker_count();
 
  private:
+  // The fiber contexts themselves live in their worker's frame, created
+  // there so the TSan fiber state belongs to the worker thread.
   struct Machine {
     FiberStack stack{kDefaultFiberStackBytes};
-    // Fiber context storage; constructed on the owning worker thread so
-    // the TSan fiber state is created there.  Indirect because
-    // FiberContext is not movable.
-    FiberContext* fiber = nullptr;
     ReadyFn ready = nullptr;
     void* ready_arg = nullptr;
     bool parked = false;
@@ -109,7 +119,7 @@ class Executor {
 
   std::vector<Machine> machines_;
   std::size_t workers_;
-  std::size_t block_;  ///< machines per worker, ceil(k / W)
+  std::size_t group_;  ///< g: consecutive machines dealt as one
   IdleHooks idle_;
   MachineMain fn_;
 
@@ -118,13 +128,6 @@ class Executor {
   // the same machine).
   std::exception_ptr first_error_;
   std::atomic<bool> error_set_{false};
-
-  // Per-worker scheduler state, meaningful only on that worker's thread.
-  struct WorkerState {
-    FiberContext* native = nullptr;   ///< the worker's own context
-    FiberContext* current = nullptr;  ///< fiber being run right now
-  };
-  std::vector<WorkerState> worker_state_;
 };
 
 }  // namespace km

@@ -239,10 +239,9 @@ constexpr std::size_t framed_payload_default_bytes(
   return static_cast<std::size_t>(round_bytes);
 }
 
-/// Tags >= kReservedTagBase are reserved for the runtime (collectives,
-/// two-hop routing envelopes); algorithms must use smaller tags.
+/// Tags >= kReservedTagBase are reserved for the runtime (two-hop
+/// routing envelopes); algorithms must use smaller tags.
 inline constexpr std::uint16_t kReservedTagBase = 0xFF00;
-inline constexpr std::uint16_t kCollectiveTag = 0xFF01;
 inline constexpr std::uint16_t kRouteEnvelopeTag = 0xFF02;
 /// Envelope of one chunk of an oversized two-hop message (see
 /// sim/routing.hpp): payloads larger than the per-link round budget are

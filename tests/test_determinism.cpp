@@ -12,9 +12,10 @@
 // timing) are stripped; keep the list in sync with results.hpp,
 // tests/test_golden_metrics.cpp, and tests/test_trace.cpp.
 //
-// A second sweep runs selected workloads at k = 12 with a worker count
-// that divides the machines unevenly across blocks, since the golden
-// cell's k = 4 keeps every block tiny.
+// Two more sweeps run selected workloads at larger k, since the golden
+// cell's k = 4 keeps every worker's share tiny: k = 12 with worker
+// counts that divide the machines unevenly across blocks, and k = 64,
+// where machines are dealt to workers in barrier leaf groups.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -141,6 +142,30 @@ TEST(Determinism, UnevenBlocksAtLargerKStayInvariant) {
                                       std::size_t{12}}) {
       EXPECT_EQ(strip_exempt(render(*workload, spec, 12, workers)), baseline)
           << name << " at k=12, workers=" << workers;
+    }
+  }
+}
+
+TEST(Determinism, LeafGroupDealAtK64StaysInvariant) {
+  // At k = 64, ceil(k / W) exceeds TreeBarrier::kArity for W <= 4, so
+  // the executor deals barrier leaf groups to workers round-robin
+  // (sim/executor.hpp) — unevenly at W = 3 — where the golden cell's
+  // k = 4 always gets contiguous blocks.  triangles puts its busy tuple
+  // machines at the lowest ids, which the deal spreads over workers.
+  const std::map<std::string, std::string> cells = {
+      {"mst", "gnp:n=256,p=0.03,maxw=1000"},
+      {"sort", "keys:n=4096"},
+      {"triangles", "gnp:n=256,p=0.05"},
+  };
+  for (const auto& [name, spec] : cells) {
+    const Workload* workload = WorkloadRegistry::instance().find(name);
+    ASSERT_NE(workload, nullptr) << name;
+    const std::vector<std::string> baseline =
+        strip_exempt(render(*workload, spec, 64, /*workers=*/1));
+    for (const std::size_t workers :
+         {std::size_t{2}, std::size_t{3}, std::size_t{4}}) {
+      EXPECT_EQ(strip_exempt(render(*workload, spec, 64, workers)), baseline)
+          << name << " at k=64, workers=" << workers;
     }
   }
 }

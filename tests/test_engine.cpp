@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <numeric>
@@ -131,6 +132,85 @@ TEST(Engine, CollectiveStashesAlgorithmMessages) {
     Reader r(msgs[0].payload);
     EXPECT_EQ(r.get_varint(), 42u);
   });
+}
+
+TEST(Engine, FinishedMachineReadsAsZeroInAllGather) {
+  // Machine 3 returns before the others call all_gather: its slot reads
+  // as 0, and the other machines' k-1 copies addressed to it are dropped.
+  constexpr std::size_t kMachines = 4;
+  Engine engine(kMachines, {.bandwidth_bits = 1024, .seed = 1});
+  const auto metrics = engine.run([&](MachineContext& ctx) {
+    if (ctx.id() == 3) return;
+    const auto values = ctx.all_gather(100 + ctx.id());
+    ASSERT_EQ(values.size(), kMachines);
+    for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(values[i], 100 + i);
+    EXPECT_EQ(values[3], 0u);
+    EXPECT_EQ(ctx.all_reduce_sum(ctx.id() + 1), 6u);  // 1+2+3, 4th is 0
+  });
+  // Two collectives by three machines, three copies each.
+  EXPECT_EQ(metrics.messages, 2u * 3 * 3);
+  EXPECT_EQ(metrics.dropped_messages, 2u * (kMachines - 1));
+  EXPECT_EQ(metrics.supersteps, 2u);
+}
+
+TEST(Engine, CollectiveSuperstepKeepsPointToPointOrder) {
+  // Point-to-point messages sent in a collective superstep come back
+  // from the next exchange() in (source, send) order, framed, oversized
+  // and PayloadRef sends alike, and survive a second collective.
+  constexpr std::size_t kMachines = 5;
+  constexpr std::uint64_t kBandwidth = 2048;  // framing threshold 256
+  const auto plan = [](std::size_t src, std::size_t dst) {
+    return (src + 2 * dst) % 4;  // messages on link src -> dst
+  };
+  const auto payload = [](std::size_t src, std::size_t i) {
+    // Every third message is past the framing threshold.
+    const std::size_t len = i % 3 == 2 ? 300 : 1 + i;
+    return std::vector<std::byte>(len, static_cast<std::byte>(src * 16 + i));
+  };
+  Engine engine(kMachines, {.bandwidth_bits = kBandwidth, .seed = 2});
+  engine.run([&](MachineContext& ctx) {
+    for (std::size_t dst = 0; dst < kMachines; ++dst) {
+      if (dst == ctx.id()) continue;
+      for (std::size_t i = 0; i < plan(ctx.id(), dst); ++i) {
+        const auto tag = static_cast<std::uint16_t>(i);
+        if (i == 1) {
+          ctx.send(dst, tag, PayloadRef(payload(ctx.id(), i)));
+        } else {
+          ctx.send(dst, tag, payload(ctx.id(), i));
+        }
+      }
+    }
+    EXPECT_EQ(ctx.all_reduce_sum(1), kMachines);
+    EXPECT_EQ(ctx.all_reduce_max(ctx.id()), kMachines - 1);
+    const auto in = ctx.exchange();
+    std::size_t pos = 0;
+    for (std::size_t src = 0; src < kMachines; ++src) {
+      if (src == ctx.id()) continue;
+      for (std::size_t i = 0; i < plan(src, ctx.id()); ++i) {
+        ASSERT_LT(pos, in.size());
+        const Message& msg = in[pos++];
+        EXPECT_EQ(msg.src, src);
+        EXPECT_EQ(msg.tag, i);
+        EXPECT_TRUE(std::ranges::equal(msg.payload.view(), payload(src, i)))
+            << "src " << src << " message " << i;
+      }
+    }
+    EXPECT_EQ(pos, in.size());
+  });
+}
+
+TEST(Engine, SingleMachineCollectiveCostsOneSuperstepNoMessages) {
+  Engine engine(1, {.bandwidth_bits = 64, .seed = 1,
+                    .record_timeline = true});
+  const auto metrics = engine.run([&](MachineContext& ctx) {
+    EXPECT_EQ(ctx.all_reduce_sum(41), 41u);
+  });
+  EXPECT_EQ(metrics.supersteps, 1u);
+  EXPECT_EQ(metrics.messages, 0u);
+  EXPECT_EQ(metrics.bits, 0u);
+  EXPECT_EQ(metrics.rounds, 0u);
+  ASSERT_EQ(metrics.timeline.size(), 1u);
+  EXPECT_EQ(metrics.timeline[0].messages, 0u);
 }
 
 TEST(Engine, PerMachineRngIsIndependentAndDeterministic) {

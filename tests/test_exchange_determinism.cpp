@@ -12,6 +12,7 @@
 #include <thread>
 
 #include "sim/engine.hpp"
+#include "util/hash.hpp"
 
 namespace km {
 namespace {
@@ -261,13 +262,35 @@ std::vector<std::byte> pattern_bytes(std::uint64_t seed, std::size_t len) {
   return bytes;
 }
 
+// Which collective, if any, a superstep of a trial runs next to its
+// planned sends.  The last superstep never runs one, so every stashed
+// message is delivered by the end of the program.
+enum class Collective { kNone, kAllGather, kAllReduceSum };
+
+Collective collective_at(std::uint64_t trial, int step, int supersteps) {
+  if (step == supersteps - 1) return Collective::kNone;
+  return static_cast<Collective>((trial + static_cast<std::uint64_t>(step)) %
+                                 3);
+}
+
+/// Machine `id`'s collective contribution at `step`: shifted right by up
+/// to 56 bits, so its varint takes 1 to 10 bytes across machines.
+std::uint64_t collective_value(std::uint64_t trial, int step, std::size_t id) {
+  return mix64(trial * 131 + static_cast<std::uint64_t>(step), id) >>
+         (8 * (id % 8));
+}
+
 // The frame batching property test: random message sizes/counts per
 // link, several supersteps, at one bandwidth (and so one framing
 // threshold).  Delivery must preserve ascending source and per-link send
 // order with exact bytes, and every superstep's rounds/bits/max_link_bits
 // must equal the *unbatched* formula (sum per message of kHeaderBits +
 // 8 * payload), i.e. batching is invisible to the cost model — whatever
-// the threshold and whichever send overload carried each message.
+// the threshold and whichever send overload carried each message.  Some
+// supersteps run all_gather or all_reduce_sum next to the planned sends:
+// the collective charges each link one message of its source's varint,
+// and the planned messages come back from the next exchange(), after
+// the ones stashed before them, in (source, send) order.
 void run_framing_property_trial(std::uint64_t trial, std::uint64_t bandwidth) {
   constexpr std::size_t kMachines = 6;
   constexpr int kSupersteps = 4;
@@ -306,6 +329,7 @@ void run_framing_property_trial(std::uint64_t trial, std::uint64_t bandwidth) {
                               .seed = trial,
                               .record_timeline = true});
     const auto metrics = engine.run([&](MachineContext& ctx) {
+      std::vector<int> pending;  // supersteps whose sends are still stashed
       for (int step = 0; step < kSupersteps; ++step) {
         for (std::size_t dst = 0; dst < kMachines; ++dst) {
           if (dst == ctx.id()) continue;
@@ -331,32 +355,62 @@ void run_framing_property_trial(std::uint64_t trial, std::uint64_t bandwidth) {
             }
           }
         }
+        pending.push_back(step);
+        const Collective collective =
+            collective_at(trial, step, kSupersteps);
+        if (collective != Collective::kNone) {
+          const std::uint64_t mine = collective_value(trial, step, ctx.id());
+          std::uint64_t sum = 0;
+          for (std::size_t id = 0; id < kMachines; ++id) {
+            sum += collective_value(trial, step, id);
+          }
+          if (collective == Collective::kAllGather) {
+            const auto values = ctx.all_gather(mine);
+            ASSERT_EQ(values.size(), kMachines);
+            for (std::size_t id = 0; id < kMachines; ++id) {
+              ASSERT_EQ(values[id], collective_value(trial, step, id));
+            }
+          } else {
+            ASSERT_EQ(ctx.all_reduce_sum(mine), sum);
+          }
+          continue;  // the planned messages wait in the stash
+        }
         const auto in = ctx.exchange();
-        // Expected inbox: ascending src, send order within each src.
+        // Expected inbox: the stashed supersteps' messages, then this
+        // one's; each in ascending src, send order within each src.
         std::size_t pos = 0;
-        for (std::size_t src = 0; src < kMachines; ++src) {
-          if (src == ctx.id()) continue;
-          for (const auto& m : link_plan(trial, step, src, ctx.id())) {
-            ASSERT_LT(pos, in.size());
-            const Message& got = in[pos++];
-            ASSERT_EQ(got.src, src);
-            ASSERT_EQ(got.tag, static_cast<std::uint16_t>(m.size % 7));
-            ASSERT_EQ(got.payload.size(), m.size);
-            const auto want = pattern_bytes(m.seed, m.size);
-            ASSERT_TRUE(std::equal(want.begin(), want.end(),
-                                   got.payload.begin(), got.payload.end()))
-                << "payload bytes corrupted (src=" << src
-                << " size=" << m.size << ")";
+        for (const int sent : pending) {
+          for (std::size_t src = 0; src < kMachines; ++src) {
+            if (src == ctx.id()) continue;
+            for (const auto& m : link_plan(trial, sent, src, ctx.id())) {
+              ASSERT_LT(pos, in.size());
+              const Message& got = in[pos++];
+              ASSERT_EQ(got.src, src);
+              ASSERT_EQ(got.tag, static_cast<std::uint16_t>(m.size % 7));
+              ASSERT_EQ(got.payload.size(), m.size);
+              const auto want = pattern_bytes(m.seed, m.size);
+              ASSERT_TRUE(std::equal(want.begin(), want.end(),
+                                     got.payload.begin(), got.payload.end()))
+                  << "payload bytes corrupted (src=" << src
+                  << " size=" << m.size << ")";
+            }
           }
         }
         ASSERT_EQ(pos, in.size()) << "unexpected extra messages";
+        pending.clear();
       }
     });
-    // Recompute the unbatched formula from the plans and compare the
-    // per-superstep timeline bit for bit.
+    // Recompute the unbatched formula from the plans and the collectives'
+    // values and compare the per-superstep timeline and the per-machine
+    // totals bit for bit.
     ASSERT_EQ(metrics.timeline.size(),
               static_cast<std::size_t>(kSupersteps));
+    std::vector<std::uint64_t> send_bits(kMachines, 0);
+    std::vector<std::uint64_t> recv_bits(kMachines, 0);
+    std::uint64_t total_msgs = 0, total_bits = 0;
     for (int step = 0; step < kSupersteps; ++step) {
+      const bool collective =
+          collective_at(trial, step, kSupersteps) != Collective::kNone;
       std::uint64_t bits = 0, msgs = 0, max_link = 0;
       for (std::size_t src = 0; src < kMachines; ++src) {
         for (std::size_t dst = 0; dst < kMachines; ++dst) {
@@ -366,10 +420,20 @@ void run_framing_property_trial(std::uint64_t trial, std::uint64_t bandwidth) {
             link_bits += Message::kHeaderBits + 8 * m.size;
             ++msgs;
           }
+          if (collective) {
+            link_bits +=
+                Message::kHeaderBits +
+                8 * varint_size(collective_value(trial, step, src));
+            ++msgs;
+          }
           bits += link_bits;
           max_link = std::max(max_link, link_bits);
+          send_bits[src] += link_bits;
+          recv_bits[dst] += link_bits;
         }
       }
+      total_msgs += msgs;
+      total_bits += bits;
       const auto& t = metrics.timeline[static_cast<std::size_t>(step)];
       EXPECT_EQ(t.messages, msgs) << "step " << step;
       EXPECT_EQ(t.bits, bits) << "step " << step;
@@ -380,6 +444,11 @@ void run_framing_property_trial(std::uint64_t trial, std::uint64_t bandwidth) {
                           1, (max_link + bandwidth - 1) / bandwidth);
       EXPECT_EQ(t.rounds, rounds) << "step " << step;
     }
+    EXPECT_EQ(metrics.messages, total_msgs);
+    EXPECT_EQ(metrics.bits, total_bits);
+    EXPECT_EQ(metrics.send_bits_per_machine, send_bits);
+    EXPECT_EQ(metrics.recv_bits_per_machine, recv_bits);
+    EXPECT_EQ(metrics.dropped_messages, 0u);
   }
 }
 

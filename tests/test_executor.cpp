@@ -4,15 +4,17 @@
 //
 // FiberSwitch drives FiberContext::switch_to directly: entry/argument
 // plumbing, repeated suspend/resume round trips, and stack usability.
-// ExecutorPool exercises the scheduler: every machine runs exactly once
-// at any worker count, parked machines resume when their predicate
-// flips (including cross-worker wakeups through IdleHooks), the first
-// escaping exception is rethrown from run() without stopping the rest,
-// and k >> W multiplexing holds at the thousand-machine scale the
-// engine needs.  Both suites run under the tsan CI job — scheduling
-// races here would poison every result above.
+// ExecutorPool exercises the scheduler: machines are dealt to workers in
+// barrier leaf groups, every machine runs exactly once at any worker
+// count, parked machines resume when their predicate flips (including
+// cross-worker wakeups through IdleHooks), the first escaping exception
+// is rethrown from run() without stopping the rest, and k >> W
+// multiplexing holds at the thousand-machine scale the engine needs.
+// Both suites run under the tsan CI job — scheduling races here would
+// poison every result above.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -24,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/barrier.hpp"
 #include "sim/executor.hpp"
 #include "sim/fiber.hpp"
 
@@ -154,30 +157,45 @@ TEST(ExecutorPool, WorkerCountResolvesAndClamps) {
   EXPECT_EQ(single.worker_count(), 2u);
 }
 
-/// (k, W) shapes for the pool tests.  In the last three, ceil(k / W)-
-/// sized blocks cover k before the W-th worker, so fewer workers run.
+/// (k, W) shapes for the pool tests.  In (5, 4), (7, 6) and (12, 5),
+/// ceil(k / W)-sized groups cover k before the W-th worker, so fewer
+/// workers run; the last three deal leaf groups of TreeBarrier::kArity
+/// round-robin, (64, 3) unevenly (six groups to worker 0, five to the
+/// others).
 constexpr std::pair<std::size_t, std::size_t> kPoolShapes[] = {
-    {10, 3}, {32, 1}, {32, 2}, {32, 5}, {32, 32}, {5, 4}, {7, 6}, {12, 5}};
+    {10, 3}, {32, 1}, {32, 2}, {32, 5}, {32, 32}, {5, 4},
+    {7, 6},  {12, 5}, {64, 2}, {64, 3}, {1024, 4}};
 
-TEST(ExecutorPool, BlockAssignmentIsContiguousAndMonotone) {
+TEST(ExecutorPool, LeafGroupsAreDealtRoundRobin) {
+  constexpr std::size_t kArity = TreeBarrier::kArity;
   for (const auto& [machines, workers] : kPoolShapes) {
     SCOPED_TRACE("k=" + std::to_string(machines) +
                  " W=" + std::to_string(workers));
     const Executor ex(machines, workers, IdleHooks{});
+    const std::size_t share = (machines + workers - 1) / workers;
+    const std::size_t group = std::min(kArity, share);
     EXPECT_LE(ex.worker_count(), workers);
-    EXPECT_EQ(ex.worker_of(0), 0u);
+    EXPECT_EQ(ex.worker_count(),
+              std::min(workers, (machines + group - 1) / group));
     std::vector<std::size_t> owned(ex.worker_count(), 0);
-    std::size_t prev = 0;
     for (std::size_t m = 0; m < ex.machine_count(); ++m) {
       const std::size_t w = ex.worker_of(m);
       ASSERT_LT(w, ex.worker_count());
-      EXPECT_GE(w, prev);  // never jumps backwards: contiguous blocks
-      prev = w;
+      EXPECT_EQ(w, m / group % ex.worker_count()) << "machine " << m;
+      if (share <= kArity) {
+        EXPECT_EQ(w, m / share) << "machine " << m << ": not a block";
+      }
+      if (share >= kArity) {
+        EXPECT_EQ(w, ex.worker_of(m / kArity * kArity))
+            << "machine " << m << " split from its barrier leaf";
+      }
       ++owned[w];
     }
     for (std::size_t w = 0; w < owned.size(); ++w) {
       EXPECT_GE(owned[w], 1u) << "worker " << w << " owns no machine";
     }
+    const auto [lo, hi] = std::minmax_element(owned.begin(), owned.end());
+    EXPECT_LE(*hi - *lo, group) << "loads differ by more than one group";
   }
 }
 
@@ -195,7 +213,7 @@ TEST(ExecutorPool, EveryMachineRunsExactlyOnceAtAnyWorkerCount) {
 
 /// A single global "turn" both gates and wakes the machines: machine m
 /// may proceed only when turn == m, and the turn moves *downwards* while
-/// workers scan their blocks upwards — so every machine but the last
+/// workers scan their machines upwards — so every machine but the last
 /// parks at least once, and most wakeups cross worker boundaries
 /// (exactly the engine's barrier-release shape, minus the barrier).
 struct TurnState {

@@ -66,7 +66,7 @@ TEST(MetricsTimeline, KnownProgramPerSuperstepCounts) {
   // charged Message::kHeaderBits of framing on the wire.
   EXPECT_EQ(m.timeline[0].messages, k);
   EXPECT_EQ(m.timeline[0].bits, 8u * (1 + 2 + 3 + 4) + k * Message::kHeaderBits);
-  // Superstep 1: all_gather broadcasts k*(k-1) messages.
+  // Superstep 1: all_gather charges k*(k-1) messages.
   EXPECT_EQ(m.timeline[1].messages, k * (k - 1));
   // Superstep 2: one 1-byte message per machine.
   EXPECT_EQ(m.timeline[2].messages, k);
