@@ -11,7 +11,7 @@
 // sender's outbox slab and copied into its receiver's inbox arena, one
 // buffer per machine per superstep on each side); (3) two-hop shuffle —
 // route_via_random_intermediate, so envelope (re)serialization dominates;
-// (4) barrier latency — empty supersteps at k up to 256, so the tree
+// (4) barrier latency — empty supersteps at k up to 256, so the worker
 // barrier's rendezvous and wake-up are the whole cost, and collective
 // latency — the same supersteps each running an all_reduce_sum; (5)
 // speedup vs workers — a compute-bound fleet at every pool width, so the
@@ -202,11 +202,12 @@ BENCHMARK(BM_TwoHopShuffle)->Arg(1024)->Arg(8192)
 
 void BM_BarrierLatency(benchmark::State& state) {
   // Empty supersteps: no messages move, so the whole per-step cost is the
-  // rendezvous — tree arrival, root finalize, and (now that machines are
-  // fibers on a worker pool) the scheduler pass that resumes released
-  // fibers instead of a per-machine futex wake.  The k = 256 case
-  // exercises a 4-level tree multiplexed over the default worker count;
-  // one engine run amortizes the pool spawn over kSteps barriers.
+  // rendezvous — machine arrivals into their worker's fold, one arrival
+  // per worker, the finalize, and the scheduler pass that resumes
+  // released fibers instead of a per-machine futex wake.  The k = 256
+  // case multiplexes 64 or more machines onto each of the default
+  // workers; one engine run amortizes the pool spawn over kSteps
+  // barriers.
   const auto machines = static_cast<std::size_t>(state.range(0));
   constexpr int kSteps = 16;
   for (auto _ : state) {

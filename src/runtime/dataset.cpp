@@ -1,6 +1,7 @@
 #include "runtime/dataset.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
@@ -49,6 +50,26 @@ double require_double(const DatasetSpec& spec, std::string_view key) {
                        "= (spec: " + spec.str() + ")");
   }
   return spec.get_double(key, 0.0);
+}
+
+/// A probability must lie in [0, 1]: a NaN p never ends skip_sample's
+/// geometric walk, and p > 1 or p < 0 would silently build the complete
+/// or the empty graph.
+double probability(const DatasetSpec& spec, std::string_view key,
+                   double value) {
+  if (!(value >= 0.0 && value <= 1.0)) {
+    throw DatasetError("dataset parameter " + std::string(key) +
+                       " must lie in [0, 1] (spec: " + spec.str() + ")");
+  }
+  return value;
+}
+
+double finite(const DatasetSpec& spec, std::string_view key, double value) {
+  if (!std::isfinite(value)) {
+    throw DatasetError("dataset parameter " + std::string(key) +
+                       " must be finite (spec: " + spec.str() + ")");
+  }
+  return value;
 }
 
 /// Every graph family accepts maxw= for the weighted conversion.
@@ -211,12 +232,15 @@ Dataset load_dataset(const DatasetSpec& spec, DatasetKind required,
   Graph g;
   if (spec.family == "gnp") {
     check_known_keys(spec, {"n", "p"});
-    g = gnp(require_uint(spec, "n"), require_double(spec, "p"), rng);
+    g = gnp(require_uint(spec, "n"),
+            probability(spec, "p", require_double(spec, "p")), rng);
   } else if (spec.family == "rmat") {
     check_known_keys(spec, {"n", "m", "a", "b", "c"});
     const std::uint64_t n = require_uint(spec, "n");
-    g = rmat(n, spec.get_uint("m", 8 * n), rng, spec.get_double("a", 0.57),
-             spec.get_double("b", 0.19), spec.get_double("c", 0.19));
+    g = rmat(n, spec.get_uint("m", 8 * n), rng,
+             finite(spec, "a", spec.get_double("a", 0.57)),
+             finite(spec, "b", spec.get_double("b", 0.19)),
+             finite(spec, "c", spec.get_double("c", 0.19)));
   } else if (spec.family == "ba") {
     check_known_keys(spec, {"n", "attach"});
     g = barabasi_albert(require_uint(spec, "n"), spec.get_uint("attach", 3),
@@ -224,7 +248,8 @@ Dataset load_dataset(const DatasetSpec& spec, DatasetKind required,
   } else if (spec.family == "ws") {
     check_known_keys(spec, {"n", "degree", "beta"});
     g = watts_strogatz(require_uint(spec, "n"), spec.get_uint("degree", 8),
-                       spec.get_double("beta", 0.2), rng);
+                       probability(spec, "beta", spec.get_double("beta", 0.2)),
+                       rng);
   } else if (spec.family == "star") {
     check_known_keys(spec, {"n"});
     g = star_graph(require_uint(spec, "n"));
@@ -243,7 +268,7 @@ Dataset load_dataset(const DatasetSpec& spec, DatasetKind required,
   } else if (spec.family == "bipartite") {
     check_known_keys(spec, {"a", "b", "p"});
     g = random_bipartite(require_uint(spec, "a"), require_uint(spec, "b"),
-                         require_double(spec, "p"), rng);
+                         probability(spec, "p", require_double(spec, "p")), rng);
   } else if (spec.family == "file") {
     const std::string path = spec.get_string("path", "");
     if (path.empty()) throw DatasetError("file: spec is missing the path");

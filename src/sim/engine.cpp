@@ -34,13 +34,6 @@ class SendTimer {
   std::uint64_t begin_ = 0;
 };
 
-/// Validates k in Engine's member-initializer list, before the barrier
-/// (which rejects k = 0 with its own message) is built from it.
-std::size_t checked_k(std::size_t k) {
-  if (k < 1) throw std::invalid_argument("Engine: k must be >= 1");
-  return k;
-}
-
 /// Header of one framed entry in a sender's slab; the payload's `len`
 /// bytes follow it.  `next` is the slab offset of the link's next framed
 /// entry (unread on the link's last one).  A fixed-width length suffices:
@@ -95,8 +88,8 @@ void MachineContext::account_send(std::size_t dst,
                                   std::uint64_t payload_bytes) {
   // Phase 1 of the exchange protocol: cost the link now — one header plus
   // the payload per message, framed or not (the unbatched formula) — so
-  // the barrier folds only counters.  The row aggregates keep the leaf
-  // fold O(1) per machine scalar.
+  // the barrier folds only counters.  The row aggregates keep the
+  // arrival fold O(1) per machine scalar.
   const std::uint64_t bits = Message::kHeaderBits + payload_bytes * 8;
   out_bits_[dst] += bits;
   out_msgs_[dst] += 1;
@@ -216,7 +209,7 @@ std::vector<Message> MachineContext::exchange() {
   // clock only ticks here and in SendTimer, so an untraced run's hot path
   // sees nothing but null-pointer checks.
   if (trace_) trace_->begin_sync(trace_->now_ns());
-  if (engine_->barrier_arrive_and_wait(id_)) {
+  if (engine_->arrive_and_wait(*this)) {
     // Only possible when the engine aborted (superstep budget, or a
     // failed barrier merge): a normal stop requires *all* machines to
     // have finished, and this one hasn't.
@@ -279,17 +272,12 @@ bool MachineContext::all_reduce_or(bool value) {
 // ---------------------------------------------------------------------------
 
 Engine::Engine(std::size_t k, EngineConfig config)
-    : k_(checked_k(k)),
+    : k_(k),
       config_(std::move(config)),
-      frame_threshold_(framed_payload_default_bytes(config_.bandwidth_bits)),
-      barrier_(k_),
-      node_accums_(barrier_.node_count()) {
+      frame_threshold_(framed_payload_default_bytes(config_.bandwidth_bits)) {
+  if (k_ < 1) throw std::invalid_argument("Engine: k must be >= 1");
   if (config_.bandwidth_bits < 1) {
     throw std::invalid_argument("Engine: bandwidth must be >= 1 bit");
-  }
-  for (NodeAccum& acc : node_accums_) {
-    acc.recv_bits.assign(k_, 0);
-    acc.recv_msgs.assign(k_, 0);
   }
 }
 
@@ -313,27 +301,8 @@ Metrics Engine::run(const Program& program) {
       contexts_[i]->trace_ = &trace_->machine(i);
     }
   }
-  // Single-threaded prologue: no machine thread exists yet, so this
-  // thread trivially has fold-phase exclusivity over the metrics and
-  // accumulators (the phantom acquire is free and keeps the guarded
-  // members compile-checked).
-  barrier_.fold_phase.acquire();
-  metrics_ = Metrics{};
-  metrics_.send_bits_per_machine.assign(k_, 0);
-  metrics_.recv_bits_per_machine.assign(k_, 0);
-  // An aborted run leaves folded-but-unconsumed accumulators behind;
-  // re-arm everything before the first machine thread starts.
-  barrier_.reset();
-  for (NodeAccum& acc : node_accums_) {
-    acc.bits = acc.msgs = acc.max_link = 0;
-    std::fill(acc.recv_bits.begin(), acc.recv_bits.end(), 0);
-    std::fill(acc.recv_msgs.begin(), acc.recv_msgs.end(), 0);
-  }
-  barrier_.fold_phase.release();
   // Stamps restart with the contexts' barrier counts: clear last run's.
   for (auto& slots : collective_) slots.assign(k_, CollectiveSlot{});
-  stop_.store(false, std::memory_order_relaxed);
-  finished_count_.store(0, std::memory_order_relaxed);
   {
     const MutexLock lock(mutex_);
     first_error_ = nullptr;
@@ -346,14 +315,33 @@ Metrics Engine::run(const Program& program) {
   const auto start = std::chrono::steady_clock::now();
   {
     // One fiber per machine, multiplexed over the worker pool.  When a
-    // machine parks at the barrier the worker polls
-    // TreeBarrier::released() for it; when all of a worker's machines
-    // are parked it futex-waits on the barrier's sense word (the only
-    // event that can make a parked machine runnable).
+    // machine parks at the barrier the worker polls machine_released()
+    // for it; when all of a worker's machines are parked it futex-waits
+    // on the barrier's episode word (the only event that can make a
+    // parked machine runnable).
     Executor executor(k_, config_.workers,
                       IdleHooks{.epoch = &Engine::idle_epoch,
                                 .wait = &Engine::idle_wait,
                                 .arg = this});
+    // Single-threaded prologue: no worker runs yet, so this thread
+    // trivially has fold-phase exclusivity over the metrics and the
+    // folds (the phantom acquire is free and keeps the guarded members
+    // compile-checked).  An aborted run leaves folded-but-unconsumed
+    // accumulators behind; re-arm everything for the executor's W'
+    // workers before the first machine runs.
+    barrier_.fold_phase.acquire();
+    metrics_ = Metrics{};
+    metrics_.send_bits_per_machine.assign(k_, 0);
+    metrics_.recv_bits_per_machine.assign(k_, 0);
+    folds_.assign(executor.worker_count(),
+                  WorkerFold{.recv = std::vector<LinkTotal>(k_)});
+    for (std::size_t m = 0; m < k_; ++m) {
+      WorkerFold& fold = folds_[executor.worker_of(m)];
+      ++fold.live;
+      ++fold.pending;
+    }
+    barrier_.reset(executor.worker_count());
+    barrier_.fold_phase.release();
     executor_ = &executor;
     struct ExecutorGuard {
       Engine& engine;
@@ -397,31 +385,30 @@ void Engine::machine_main(const Program& program, std::size_t who) {
   if (MachineTraceBuffer* trace = contexts_[who]->trace_) {
     trace->thread_end(trace->now_ns());
   }
-  contexts_[who]->finished_ = true;  // published by the next arrival
-  finished_count_.fetch_add(1, std::memory_order_release);
-  // Keep participating in barriers until the engine stops, so machines
-  // that finish early do not deadlock the others.  The stop flag is
-  // checked *before* arriving: once it is set, no machine will enter
-  // another barrier episode.  Incoming buckets still have to be walked
-  // each episode — discarded, not delivered — to keep the parity
-  // hand-off sound.
-  while (!stopped()) {
-    if (barrier_arrive_and_wait(who)) break;
-    discard_inbound(*contexts_[who]);
-  }
+  // One last arrival folds the sends made after the last exchange and
+  // takes the machine out of its worker's count; then the fiber exits.
+  // Once the engine has stopped no episode follows (the stop flag is
+  // stable here: the barrier cannot finalize while this machine's worker
+  // still waits for it).
+  contexts_[who]->finished_ = true;  // published by the arrival
+  if (!barrier_.stop_flag()) arrive(*contexts_[who]);
 }
 
 bool Engine::machine_released(void* self, std::size_t who) {
-  return static_cast<Engine*>(self)->barrier_.released(who);
+  // A parked machine has passed as many barriers as there are completed
+  // episodes; the episode cannot move twice while it is parked, because
+  // the next episode needs its worker to arrive again.
+  const auto* engine = static_cast<const Engine*>(self);
+  return engine->barrier_.episode() !=
+         static_cast<std::uint32_t>(engine->contexts_[who]->barriers_passed_);
 }
 
 std::uint64_t Engine::idle_epoch(void* self) {
-  return static_cast<Engine*>(self)->barrier_.sense_word();
+  return static_cast<Engine*>(self)->barrier_.episode();
 }
 
 void Engine::idle_wait(void* self, std::uint64_t seen) {
-  static_cast<Engine*>(self)->barrier_.wait_sense(
-      static_cast<std::uint32_t>(seen));
+  static_cast<Engine*>(self)->barrier_.wait(static_cast<std::uint32_t>(seen));
 }
 
 void Engine::record_first_error(std::exception_ptr error) {
@@ -433,124 +420,117 @@ void Engine::set_first_error_locked(std::exception_ptr error) {
   if (!first_error_) first_error_ = std::move(error);
 }
 
-bool Engine::barrier_arrive_and_wait(std::size_t who) {
-  const auto outcome = barrier_.arrive_begin(
-      who,
-      [this](std::size_t node, bool leaf, std::size_t child_begin,
-             std::size_t child_end) {
-        // TreeBarrier::arrive_begin holds fold_phase across this hook
-        // (the node's fan-in fetch_add elected us sole folder); the
-        // lambda is analyzed in isolation, so restate that fact for the
-        // analysis.
-        barrier_.fold_phase.assert_held();
-        fold_node(node, leaf, child_begin, child_end);
-      },
-      [this] {
-        // Same contract: arrive_begin() holds fold_phase across finalize.
-        barrier_.fold_phase.assert_held();
-        return finalize_superstep();
-      });
-  if (outcome == TreeBarrier::ArriveOutcome::kParked) {
+void Engine::arrive(MachineContext& ctx) {
+  // Phase 2 of the exchange protocol, machine half: runs on ctx's own
+  // fiber.  A worker runs one fiber at a time and the finalizer reads
+  // this worker's fold only after the worker's acq_rel arrival, so the
+  // worker's machines own the fold until then; each writes only its own
+  // entries of the send-bits vector and of the trace link matrix.  That
+  // is the fold-phase exclusivity the writes below need.  Only
+  // pre-computed integer counters fold here — payloads never ride the
+  // barrier — and the row is zeroed as it is consumed.
+  barrier_.fold_phase.assert_held();
+  WorkerFold& fold = folds_[executor_->worker_of(ctx.id_)];
+  if (ctx.row_msgs_ != 0) {
+    if (trace_ && trace_->links_enabled()) {
+      // Snapshot the row before the zeroing below destroys it.
+      trace_->fold_gate.assert_held();
+      trace_->record_link_row(ctx.id_, ctx.out_bits_.data());
+    }
+    fold.bits += ctx.row_bits_;
+    fold.msgs += ctx.row_msgs_;
+    fold.max_link = std::max(fold.max_link, ctx.row_max_);
+    metrics_.send_bits_per_machine[ctx.id_] += ctx.row_bits_;
+    for (std::size_t dst = 0; dst < k_; ++dst) {
+      if (ctx.out_msgs_[dst] == 0) continue;
+      fold.recv[dst].bits += ctx.out_bits_[dst];
+      fold.recv[dst].msgs += ctx.out_msgs_[dst];
+      ctx.out_bits_[dst] = 0;
+      ctx.out_msgs_[dst] = 0;
+    }
+    ctx.row_bits_ = ctx.row_msgs_ = ctx.row_max_ = 0;
+  }
+  if (ctx.finished_) --fold.live;
+  if (--fold.pending != 0) return;
+  // The worker's last live machine: every other one is parked (or gone),
+  // so the count re-arms here, before the worker arrives.
+  fold.pending = fold.live;
+  barrier_.arrive(fold.live == 0, [this] {
+    // WorkerBarrier::arrive holds fold_phase across this hook (the
+    // countdown's last arrival elected us); the lambda is analyzed in
+    // isolation, so restate that fact for the analysis.
+    barrier_.fold_phase.assert_held();
+    return finalize_superstep();
+  });
+}
+
+bool Engine::arrive_and_wait(MachineContext& ctx) {
+  arrive(ctx);
+  if (!machine_released(this, ctx.id_)) {
     // Machine-granular wait: yield this fiber back to the worker, which
-    // runs its other machines and resumes us once released() holds.  The
-    // sense cannot flip again until this machine re-arrives, so a stale
-    // resume is impossible.
-    executor_->park(who, &Engine::machine_released, this);
+    // runs its other machines and resumes us once the episode moves.
+    executor_->park(ctx.id_, &Engine::machine_released, this);
   }
   return barrier_.stop_flag();
 }
 
-void Engine::fold_node(std::size_t node, bool leaf, std::size_t child_begin,
-                       std::size_t child_end) {
-  // Phase 2 of the exchange protocol: runs on the last thread to arrive
-  // at `node`, with every child quiescent (their arrivals happen-before
-  // this call).  Only pre-computed integer counters fold here — payloads
-  // never ride the barrier.  Children are zeroed as they are consumed so
-  // the next episode starts clean.
-  NodeAccum& acc = node_accums_[node];
-  if (leaf) {
-    for (std::size_t m = child_begin; m < child_end; ++m) {
-      MachineContext& from = *contexts_[m];
-      if (from.row_msgs_ == 0) continue;
-      if (trace_ && trace_->links_enabled()) {
-        // Snapshot the row before the zeroing below destroys it.  Leaf
-        // folders own disjoint machine ranges, so concurrent folders
-        // write disjoint matrix rows — the same exclusivity that lets
-        // them write metrics_.send_bits_per_machine[m] above.
-        trace_->fold_gate.assert_held();
-        trace_->record_link_row(m, from.out_bits_.data());
-      }
-      acc.bits += from.row_bits_;
-      acc.msgs += from.row_msgs_;
-      acc.max_link = std::max(acc.max_link, from.row_max_);
-      metrics_.send_bits_per_machine[m] += from.row_bits_;
-      for (std::size_t dst = 0; dst < k_; ++dst) {
-        if (from.out_msgs_[dst] == 0) continue;
-        acc.recv_bits[dst] += from.out_bits_[dst];
-        acc.recv_msgs[dst] += from.out_msgs_[dst];
-        from.out_bits_[dst] = 0;
-        from.out_msgs_[dst] = 0;
-      }
-      from.row_bits_ = from.row_msgs_ = from.row_max_ = 0;
-    }
-  } else {
-    for (std::size_t c = child_begin; c < child_end; ++c) {
-      NodeAccum& child = node_accums_[c];
-      if (child.msgs == 0) continue;
-      acc.bits += child.bits;
-      acc.msgs += child.msgs;
-      acc.max_link = std::max(acc.max_link, child.max_link);
-      for (std::size_t dst = 0; dst < k_; ++dst) {
-        if (child.recv_msgs[dst] == 0) continue;
-        acc.recv_bits[dst] += child.recv_bits[dst];
-        acc.recv_msgs[dst] += child.recv_msgs[dst];
-        child.recv_bits[dst] = 0;
-        child.recv_msgs[dst] = 0;
-      }
-      child.bits = child.msgs = child.max_link = 0;
-    }
-  }
-}
-
 bool Engine::finalize_superstep() {
-  // Runs once per superstep on the root's last arriver; by the acq_rel
-  // arrival chain it happens-after every machine's sends, finish flag,
-  // and the whole counter fold.  Must not throw: failures become
-  // first_error_ plus a stop that propagates down the release.
-  NodeAccum& root = node_accums_[barrier_.root()];
+  // Runs once per superstep on the last worker to arrive; by the acq_rel
+  // countdown it happens-after every machine's sends, finish flag, and
+  // every worker's fold.  Must not throw: failures become first_error_
+  // plus a stop that the episode bump releases.
   bool stop = false;
   try {
     if (config_.barrier_fault_injection) {
       config_.barrier_fault_injection(metrics_.supersteps);
     }
-    SuperstepStats stats{.superstep = metrics_.supersteps,
-                         .messages = root.msgs,
-                         .bits = root.bits,
-                         .max_link_bits = root.max_link};
-    if (root.msgs > 0) {
+    SuperstepStats stats{.superstep = metrics_.supersteps};
+    for (const WorkerFold& fold : folds_) {
+      stats.messages += fold.msgs;
+      stats.bits += fold.bits;
+      stats.max_link_bits = std::max(stats.max_link_bits, fold.max_link);
+    }
+    if (stats.messages > 0) {
       // Section 1.1's cost model: the busiest link carries B bits per
       // round, and a superstep that moved anything costs at least one.
       stats.rounds = std::max<std::uint64_t>(
-          1, ceil_div(root.max_link, config_.bandwidth_bits));
+          1, ceil_div(stats.max_link_bits, config_.bandwidth_bits));
+      // Every sender of this episode has passed as many barriers as
+      // there are completed episodes: that count's parity holds its sends.
+      const std::size_t parity = barrier_.episode() & 1;
       for (std::size_t dst = 0; dst < k_; ++dst) {
-        if (root.recv_msgs[dst] == 0) continue;
-        metrics_.recv_bits_per_machine[dst] += root.recv_bits[dst];
-        if (contexts_[dst]->finished_) {
-          metrics_.dropped_messages += root.recv_msgs[dst];
+        LinkTotal to;
+        for (WorkerFold& fold : folds_) {
+          if (fold.msgs == 0) continue;
+          to.bits += fold.recv[dst].bits;
+          to.msgs += fold.recv[dst].msgs;
+          fold.recv[dst] = {};
         }
-        root.recv_bits[dst] = 0;
-        root.recv_msgs[dst] = 0;
+        if (to.msgs == 0) continue;
+        metrics_.recv_bits_per_machine[dst] += to.bits;
+        if (!contexts_[dst]->finished_) continue;
+        // Nobody drains a finished machine's links: count their messages
+        // as dropped and reset the links here.
+        metrics_.dropped_messages += to.msgs;
+        for (const auto& src : contexts_) {
+          MachineContext::LinkOut& link = src->out_[parity][dst];
+          link.unframed.clear();
+          link.count = 0;
+          link.framed_bytes = 0;
+        }
       }
     }
-    root.bits = root.msgs = root.max_link = 0;
-    const bool all_finished =
-        finished_count_.load(std::memory_order_acquire) == k_;
-    // The final barrier episode where every machine has already finished
-    // (the drain pass) is bookkeeping, not a superstep of the algorithm.
+    for (WorkerFold& fold : folds_) fold.bits = fold.msgs = fold.max_link = 0;
+    // The barrier re-armed before this hook: no participant left means
+    // every worker's machines have all finished.
+    const bool all_finished = barrier_.participants() == 0;
+    // The last episode holds only finished machines' final arrivals: it is
+    // bookkeeping, not a superstep of the algorithm, unless they carried
+    // sends made after the last exchange.
     if (!(all_finished && stats.messages == 0)) {
       if (config_.record_timeline) metrics_.timeline.push_back(stats);
       if (trace_) {
-        // Root finalizer == sole holder of the fold phase; one counter
+        // The finalizer is the sole holder of the fold phase; one counter
         // sample (and link matrix, if any) per counted superstep.
         trace_->fold_gate.assert_held();
         trace_->finalize_superstep(stats.superstep, stats.rounds,
@@ -572,20 +552,19 @@ bool Engine::finalize_superstep() {
     }
   } catch (...) {
     // A throw out of the merge must not leave the other machines parked
-    // forever: record it and stop, so the sense flip wakes everyone into
-    // the abort path.
+    // forever: record it and stop, so the episode bump wakes everyone
+    // into the abort path.
     record_first_error(std::current_exception());
     stop = true;
   }
-  if (stop) stop_.store(true, std::memory_order_release);
   return stop;
 }
 
 void Engine::drain_inbound(MachineContext& ctx, std::vector<Message>& into) {
   // Runs on ctx's own thread with no lock held.  Safe: the sources wrote
   // these LinkOuts and slabs before arriving at the barrier we just left
-  // (the tree barrier's release publishes them), and their next sends go
-  // to the opposite parity.
+  // (the episode bump publishes them), and their next sends go to the
+  // opposite parity.
   const std::size_t parity = ctx.barriers_passed_ & 1;
   ++ctx.barriers_passed_;
   // Every receiver drained the slab this machine fills next before it
@@ -643,19 +622,6 @@ void Engine::drain_inbound(MachineContext& ctx, std::vector<Message>& into) {
     }
     for (; pos < link.count; ++pos) deliver_framed();
     link.unframed.clear();  // keeps capacity: slot pool across supersteps
-    link.count = 0;
-    link.framed_bytes = 0;
-  }
-}
-
-void Engine::discard_inbound(MachineContext& ctx) {
-  const std::size_t parity = ctx.barriers_passed_ & 1;
-  ++ctx.barriers_passed_;
-  ctx.slab_[ctx.barriers_passed_ & 1].used = 0;  // as in drain_inbound
-  for (std::size_t src = 0; src < k_; ++src) {
-    auto& link = contexts_[src]->out_[parity][ctx.id_];
-    if (link.count == 0) continue;
-    link.unframed.clear();
     link.count = 0;
     link.framed_bytes = 0;
   }

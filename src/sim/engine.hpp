@@ -11,11 +11,10 @@
 //
 // Execution model: machines are stackful fibers multiplexed over a
 // bounded pool of EngineConfig::workers OS threads (sim/executor.hpp),
-// dealt to workers statically in groups of up to four consecutive ids,
-// one barrier leaf each.  A machine that reaches the superstep
-// barrier parks its fiber — the worker switches to its next runnable
-// machine instead of blocking — so barrier arrival/release is
-// machine-granular and k can exceed the core count by orders of
+// dealt to workers statically, round-robin, in groups of up to four
+// consecutive ids.  A machine that reaches the superstep barrier parks
+// its fiber — the worker switches to its next runnable machine instead
+// of blocking — so k can exceed the core count by orders of
 // magnitude (k = 4096 on a laptop is the paper's regime, not a special
 // case).  Scheduling is invisible to results: rounds, bits, delivery
 // order, and every serialized artifact are identical at every worker
@@ -55,17 +54,16 @@
 //    not, so rounds/bits/max_link_bits are byte-identical to an
 //    unbatched plane (tests/test_exchange_determinism.cpp enforces
 //    this).
-//  - Phase 2 (merge, folding up the barrier tree): the superstep
-//    rendezvous is a sense-reversing arity-4 combining-tree barrier
-//    (sim/barrier.hpp).  The last arriver at each tree node folds its
-//    children's per-link counters into the node's accumulator — machines'
-//    out_bits_/out_msgs_ rows at the leaves, child accumulators at
-//    internal nodes — so the merge that used to be O(k^2) on the last
-//    thread is now O(arity * k) per folder, pipelined up the tree.  The
-//    root's last arriver finalizes the superstep: rounds =
-//    ceil(max link bits / B), per-machine recv bits, dropped-message
-//    bookkeeping, timeline, stop/budget checks.  Payloads never pass
-//    through the barrier; only integers fold.
+//  - Phase 2 (merge, per worker, then once): the superstep rendezvous
+//    is a barrier among the W workers (sim/barrier.hpp).  An arriving
+//    machine folds its out_bits_/out_msgs_ row into its worker's
+//    accumulator with plain adds — a worker runs one fiber at a time —
+//    and parks.  The worker's last live machine to arrive arrives the
+//    worker; the last worker to arrive folds the W accumulators and
+//    finalizes the superstep: rounds = ceil(max link bits / B),
+//    per-machine recv bits, dropped-message bookkeeping, timeline,
+//    stop/budget checks.  Payloads never pass through the barrier; only
+//    integers fold.
 //  - Phase 3 (delivery, lock-free): after release each machine drains the
 //    LinkOuts addressed to it from all k sources in ascending source
 //    order, in parallel with every other machine, without any lock.  A
@@ -82,9 +80,9 @@
 //    slabs are double-buffered by barrier parity so the drain of
 //    superstep s never races the sends of superstep s+1; a machine
 //    resets the slab it fills next right after passing a barrier, when
-//    every receiver has drained it.  The tree barrier's acq_rel arrival
-//    chain and release-on-sense-flip provide the happens-before edges
-//    (tsan verified by the CI tsan job).
+//    every receiver has drained it.  The worker barrier's acq_rel
+//    countdown and its release of the episode bump provide the
+//    happens-before edges (tsan verified by the CI tsan job).
 //
 // Conventions:
 //  - All machines must call exchange() in lockstep (same count, same
@@ -94,13 +92,14 @@
 //    machine's code runs sequentially between barriers, and delivery
 //    order is ascending source then send order, so results do not depend
 //    on thread scheduling.
-//  - A machine that returns from `program` keeps participating in barriers
-//    invisibly until all machines finish; messages sent to a finished
-//    machine are counted as dropped (tests assert this never happens).
+//  - A machine that returns from `program` arrives at the barrier once
+//    more, folding the sends it made after its last exchange, and its
+//    fiber exits; a worker with no live machine left leaves the barrier.
+//    Messages sent to a finished machine are counted as dropped (tests
+//    assert this never happens) and discarded by the finalizer.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <exception>
 #include <functional>
@@ -134,15 +133,15 @@ struct EngineConfig {
   /// With `trace`: also record the opt-in per-superstep k x k link-bits
   /// matrix (O(k^2) memory per traffic-carrying superstep).
   bool trace_links = false;
-  /// Test-only fault injection: invoked on the root finalizer at the
-  /// start of every superstep merge (all machines arrived, none released).
-  /// A throw from here must abort the run cleanly — captured as the run's
-  /// first error and propagated down the barrier tree as a stop, never a
+  /// Test-only fault injection: invoked on the finalizer at the start of
+  /// every superstep merge (all machines arrived, none released).  A
+  /// throw from here must abort the run cleanly — captured as the run's
+  /// first error and released to every parked machine as a stop, never a
   /// deadlock.
   std::function<void(std::uint64_t superstep)> barrier_fault_injection = {};
   /// OS threads the executor multiplexes the k machine fibers over; 0
   /// means hardware concurrency.  The executor uses at most this many,
-  /// deals machines to them in barrier leaf groups, and gives every
+  /// deals machines to them in round-robin groups, and gives every
   /// worker at least one machine (sim/executor.hpp).
   /// Pure execution policy: results are byte-identical at every
   /// setting (like `trace`, it is deliberately absent from serialized
@@ -226,8 +225,7 @@ class MachineContext {
   /// One barrier parity's outbox: every framed entry the machine sent in
   /// that superstep, all links interleaved in send order.  Grown
   /// geometrically and never shrunk within a run; `used` is reset once
-  /// per superstep by its owner (Engine::drain_inbound and
-  /// discard_inbound).
+  /// per superstep by its owner (Engine::drain_inbound).
   struct Slab {
     std::unique_ptr<std::byte[]> bytes;
     std::size_t capacity = 0;
@@ -267,8 +265,8 @@ class MachineContext {
   std::vector<std::uint64_t> out_bits_;   ///< per-destination bit totals
   std::vector<std::uint64_t> out_msgs_;   ///< per-destination msg counts
   // Row aggregates over out_bits_/out_msgs_, maintained incrementally by
-  // account_send() so the barrier's leaf fold reads three scalars instead
-  // of re-scanning the row.
+  // account_send() so the arrival fold reads three scalars instead of
+  // re-scanning the row.
   std::uint64_t row_bits_ = 0;   ///< sum over dst of out_bits_[dst]
   std::uint64_t row_msgs_ = 0;   ///< sum over dst of out_msgs_[dst]
   std::uint64_t row_max_ = 0;    ///< max over dst of out_bits_[dst]
@@ -309,44 +307,48 @@ class Engine {
  private:
   friend class MachineContext;
 
-  /// Per-barrier-node fold state: the subtree's traffic totals plus the
-  /// per-destination column sums that become recv_bits_per_machine and
-  /// the dropped-message count.  Folders zero a child's accumulator
-  /// right after consuming it, so every episode starts from zeros.
-  struct NodeAccum {
+  /// Bits and messages addressed to one destination.
+  struct LinkTotal {
+    std::uint64_t bits = 0;
+    std::uint64_t msgs = 0;
+  };
+  /// One worker's share of a superstep's fold: the traffic of its
+  /// machines that arrived this episode, with per-destination column
+  /// sums that become recv_bits_per_machine and the dropped-message
+  /// count.  The worker's machines add to it one fiber at a time; the
+  /// finalizer reads it and zeroes it, so every episode starts from
+  /// zeros.
+  struct WorkerFold {
     std::uint64_t bits = 0;
     std::uint64_t msgs = 0;
     std::uint64_t max_link = 0;
-    std::vector<std::uint64_t> recv_bits;  ///< length k
-    std::vector<std::uint64_t> recv_msgs;  ///< length k
+    std::vector<LinkTotal> recv;  ///< length k
+    std::size_t live = 0;     ///< the worker's machines not yet finished
+    std::size_t pending = 0;  ///< live machines yet to arrive this episode
   };
 
-  /// Arrives machine `who` at the tree barrier and, if the episode is
-  /// not complete, parks the calling fiber with the executor until the
-  /// sense flips; returns true when the engine has stopped (all machines
-  /// finished, superstep budget exhausted, or a merge failed).
-  bool barrier_arrive_and_wait(std::size_t who);
+  /// Folds machine `ctx`'s counter row into its worker's accumulator;
+  /// when `ctx` is the worker's last live machine to arrive, arrives the
+  /// worker at the barrier (leaving it if no live machine remains), and
+  /// the last worker to arrive finalizes.  A finished machine arrives
+  /// once this way and does not wait.
+  void arrive(MachineContext& ctx);
+  /// exchange()'s rendezvous: arrive(), then park the calling fiber with
+  /// the executor until the episode moves; returns true when the engine
+  /// has stopped (superstep budget exhausted, or a merge failed).
+  bool arrive_and_wait(MachineContext& ctx);
   /// One machine's whole lifetime on its fiber: trace origin, the user
-  /// program, and the post-finish barrier participation loop.
+  /// program, and its last arrival.
   void machine_main(const Program& program, std::size_t who);
-  // Executor callbacks (C-style so parked-machine polling stays a pair
-  // of atomic loads, no std::function indirection on the scheduler path).
+  // Executor callbacks (C-style so parked-machine polling stays an
+  // atomic load, no std::function indirection on the scheduler path).
   static bool machine_released(void* self, std::size_t who);
   static std::uint64_t idle_epoch(void* self);
   static void idle_wait(void* self, std::uint64_t seen);
-  bool stopped() const {
-    return stop_.load(std::memory_order_acquire);
-  }
-  /// Combining hook: the last arriver at `node` folds its children
-  /// (machine counter rows at leaves, child accumulators otherwise).
-  /// Fold-phase exclusivity is the barrier's fan-in protocol; the
-  /// capability requirement makes every touch of the guarded
-  /// accumulators/metrics below compile-checked under -Wthread-safety.
-  void fold_node(std::size_t node, bool leaf, std::size_t child_begin,
-                 std::size_t child_end) KM_REQUIRES(barrier_.fold_phase);
-  /// Runs once per superstep on the root's last arriver: converts the
-  /// root accumulator into round/bit metrics and the stop decision.
-  /// Never throws — failures (fault injection) become first_error_ + stop.
+  /// Runs once per superstep on the last worker to arrive: folds the W
+  /// worker accumulators into round/bit metrics and the stop decision,
+  /// and discards the links addressed to finished machines.  Never
+  /// throws — failures (fault injection) become first_error_ + stop.
   bool finalize_superstep() KM_REQUIRES(barrier_.fold_phase);
   /// Records `error` as the run's first error if none is set yet.
   void record_first_error(std::exception_ptr error) KM_EXCLUDES(mutex_);
@@ -360,10 +362,6 @@ class Engine {
   /// slices of it.  Advances the context's bucket parity and resets the
   /// slab it fills next.
   void drain_inbound(MachineContext& ctx, std::vector<Message>& into);
-  /// Same bucket walk for a finished machine: resets the counters
-  /// instead of delivering (the merge step already counted these as
-  /// dropped).
-  void discard_inbound(MachineContext& ctx);
 
   std::size_t k_;
   EngineConfig config_;
@@ -382,21 +380,23 @@ class Engine {
   /// all_gather's values, indexed by machine and double-buffered by
   /// barrier parity like the LinkOuts: each machine writes its own slot
   /// before it arrives and reads all k after the release, and cannot
-  /// write that parity again until every machine has arrived at the
-  /// next barrier, i.e. has read it.
+  /// write that parity again until every live machine has arrived at
+  /// the next barrier, i.e. has read it.
   std::array<std::vector<CollectiveSlot>, 2> collective_;
 
   /// Recreated at the top of each traced run; machine threads write their
-  /// own buffers through MachineContext::trace_, the fold/finalize hooks
-  /// write the counter/link streams under the barrier's fold protocol.
+  /// own buffers through MachineContext::trace_, arrivals and the
+  /// finalizer write the counter/link streams under the fold protocol.
   std::shared_ptr<TraceSession> trace_;
 
-  TreeBarrier barrier_;
+  WorkerBarrier barrier_;
   // Fold-phase state: written only while holding barrier_.fold_phase —
-  // by folders/finalizers inside a barrier episode, and by Engine::run
-  // in its single-threaded prologue/epilogue (which acquires the phantom
-  // capability to make that exclusivity explicit to the analysis).
-  std::vector<NodeAccum> node_accums_  ///< indexed by barrier node id
+  // by arrivals (each into its own worker's fold and its own machine's
+  // entries) and the finalizer inside a barrier episode, and by
+  // Engine::run in its single-threaded prologue/epilogue (which acquires
+  // the phantom capability to make that exclusivity explicit to the
+  // analysis).
+  std::vector<WorkerFold> folds_  ///< indexed by worker
       KM_GUARDED_BY(barrier_.fold_phase);
   Metrics metrics_ KM_GUARDED_BY(barrier_.fold_phase);
 
@@ -404,8 +404,6 @@ class Engine {
   /// while run() is live (machines park themselves through it).
   Executor* executor_ = nullptr;
 
-  std::atomic<bool> stop_{false};
-  std::atomic<std::size_t> finished_count_{0};
   mutable Mutex mutex_;  // guards first_error_ only
   std::exception_ptr first_error_ KM_GUARDED_BY(mutex_);
 };

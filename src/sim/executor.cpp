@@ -4,8 +4,6 @@
 #include <memory>
 #include <thread>
 
-#include "sim/barrier.hpp"
-
 namespace km {
 
 namespace {
@@ -34,7 +32,7 @@ Executor::Executor(std::size_t machines, std::size_t workers, IdleHooks idle)
   if (workers == 0) workers = default_worker_count();
   if (machines == 0) machines = 1;
   workers = std::min(workers, machines);
-  group_ = std::min(TreeBarrier::kArity, (machines + workers - 1) / workers);
+  group_ = std::min(kDealGroup, (machines + workers - 1) / workers);
   // Fewer groups than workers leaves some workers with nothing (k = 5,
   // W = 4 deals groups of 2: three suffice); drop them, so every worker
   // owns at least one machine.

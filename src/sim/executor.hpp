@@ -9,23 +9,23 @@
 // of blocking in a futex.
 //
 // Placement: machines are dealt to workers in groups of g consecutive
-// ids, g = min(TreeBarrier::kArity, ceil(k / W)), round-robin: machine m
-// runs on worker (m / g) mod W', where W' is the number of workers that
-// get at least one group.  A group of kArity is one barrier leaf, so a
-// leaf's arrivals and its fold stay on one worker, while a run of busy
-// machines with adjacent ids (TriPartition's tuple machines sit at ids
-// 0 .. tuples-1) spreads over every worker instead of filling the first
-// one's contiguous block.  When ceil(k / W) <= kArity the deal is the
-// same as contiguous blocks of ceil(k / W).  Placement is static, with
-// no migration: per-machine trace buffers stay single-writer, buffer
-// pools stay worker-local, and a fiber never resumes on another thread
+// ids, g = min(kDealGroup, ceil(k / W)), round-robin: machine m runs on
+// worker (m / g) mod W', where W' is the number of workers that get at
+// least one group.  A run of busy machines with adjacent ids
+// (TriPartition's tuple machines sit at ids 0 .. tuples-1) thus spreads
+// over every worker instead of filling the first one's contiguous
+// block.  When ceil(k / W) <= kDealGroup the deal is the same as
+// contiguous blocks of ceil(k / W).  Placement is static, with no
+// migration: per-machine trace buffers stay single-writer, buffer pools
+// stay worker-local, and a fiber never resumes on another thread
 // (compilers may cache a thread_local's address across the switch).
 //
 // Parking protocol: a machine calls Executor::park(ready, arg) from its
 // own fiber.  `ready(arg, machine)` is the resume predicate, polled by
-// the owning worker only (cheap atomic loads; for the engine it is
-// TreeBarrier::released()).  When every live machine of a worker is
-// parked and none is ready, the worker sleeps through IdleHooks:
+// the owning worker only (cheap atomic loads; for the engine it asks
+// whether the barrier's episode has moved).  When every live machine of
+// a worker is parked and none is ready, the worker sleeps through
+// IdleHooks:
 //
 //   seen = hooks.epoch(arg);     // sample the wake-event generation
 //   if (none of the parked machines is ready)   // recheck under `seen`
@@ -35,8 +35,8 @@
 // Sampling the epoch *before* the recheck closes the missed-wakeup
 // window: any release that lands between recheck and wait leaves
 // epoch != seen, so the wait falls through.  For the engine both hooks
-// wrap the barrier's sense word — the sense flip is the only event that
-// can make a parked machine runnable.
+// wrap the barrier's episode word — the episode bump is the only event
+// that can make a parked machine runnable.
 //
 // Determinism: scheduling never touches results.  Machines interact only
 // through the exchange protocol, whose delivery order is defined by
@@ -68,6 +68,16 @@ struct IdleHooks {
 
 class Executor {
  public:
+  /// Largest group of consecutive machines dealt to one worker.  On the
+  /// k = 64 benchmark sweep over W = 2 workers (4 vCPUs; two sets of ten
+  /// alternating 20 s runs against plain round-robin, g = 1), four won 6
+  /// of 10 and 4 of 9 pairs on scenarios/s, with medians within 2%: the
+  /// two deal equally well there.  Four stays because with
+  /// ceil(k / W) <= 4 it deals contiguous blocks, the placement the
+  /// smaller cells have always run with, while at k = 64 it still
+  /// spreads busy adjacent ids over every worker.
+  static constexpr std::size_t kDealGroup = 4;
+
   /// Resume predicate for a parked machine; must be safe to call from
   /// the owning worker while the machine is parked.
   using ReadyFn = bool (*)(void* arg, std::size_t machine);

@@ -267,7 +267,7 @@ std::string TraceSession::chrome_trace_json(std::string_view label) const {
       w.end_object();
     }
   }
-  // Counter tracks: the root finalizer's per-superstep accounting sample.
+  // Counter tracks: the finalizer's per-superstep accounting sample.
   for (const TraceCounterSample& c : counters_) {
     const double ts = static_cast<double>(c.at_ns) * kUs;
     const auto counter = [&](std::string_view name, auto emit_args) {

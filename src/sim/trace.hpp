@@ -12,14 +12,14 @@
 //    machine's thread until the engine joins).  Each (machine, superstep)
 //    yields exactly four spans: `compute` (program code between
 //    exchanges), `send` (serialization/bucketing inside send(), nested in
-//    compute), `barrier_wait` (arrival to release at the combining-tree
-//    barrier — the straggler signature), and `deliver` (the lock-free
+//    compute), `barrier_wait` (arrival to release at the worker barrier
+//    — the straggler signature), and `deliver` (the lock-free
 //    inbound drain).  When the program returns, a trailing `compute` +
 //    `send` pair covers the code after its last exchange.
-//  - The root finalizer emits one TraceCounterSample per superstep
+//  - The finalizer emits one TraceCounterSample per superstep
 //    (rounds, messages, bits, max_link_bits, buffer/payload-pool deltas),
 //    recorded under the barrier's fold-phase exclusivity.
-//  - Opt-in (`record_links`): the leaf folders snapshot each machine's
+//  - Opt-in (`record_links`): each machine's arrival snapshots its
 //    per-destination bit row before zeroing it, folding a full k x k
 //    link-bits matrix per superstep — the data behind load-imbalance
 //    heatmaps and the balanced-proxy-assignment hypothesis (ROADMAP
@@ -55,7 +55,7 @@ namespace km {
 enum class TracePhase : std::uint8_t {
   kCompute = 0,      ///< program code between exchanges (minus send time)
   kSend = 1,         ///< serialization + bucketing inside send()/broadcast()
-  kBarrierWait = 2,  ///< arrival at the tree barrier until release
+  kBarrierWait = 2,  ///< arrival at the barrier until release
   kDeliver = 3,      ///< lock-free inbound drain after release
 };
 
@@ -72,7 +72,7 @@ struct TraceSpan {
   friend bool operator==(const TraceSpan&, const TraceSpan&) = default;
 };
 
-/// Per-superstep counter sample, recorded once by the root finalizer.
+/// Per-superstep counter sample, recorded once by the finalizer.
 /// Pool fields are the process-wide counter delta since the previous
 /// superstep (with one engine running — the normal case — that is exactly
 /// this run's machine threads).
@@ -173,17 +173,17 @@ class TraceSession {
 
   /// Capability standing for the barrier's fold-phase exclusivity over
   /// the streams below — same protocol-not-a-lock pattern as
-  /// TreeBarrier::fold_phase (the engine's fold/finalize hooks assert it;
-  /// see Engine::fold_node).
+  /// WorkerBarrier::fold_phase (the engine's arrivals and finalizer
+  /// assert it; see Engine::arrive).
   PhantomCapability fold_gate;
 
-  /// Leaf-fold hook: copies machine `src`'s per-destination bit row (k
+  /// Arrival hook: copies machine `src`'s per-destination bit row (k
   /// entries) into the current superstep's matrix before the fold zeroes
-  /// it.  Concurrent leaf folders write disjoint rows.
+  /// it.  Concurrent arrivals write disjoint rows.
   void record_link_row(std::size_t src,
                        const std::uint64_t* row_bits) KM_REQUIRES(fold_gate);
 
-  /// Root-finalizer hook, once per counted superstep: records the counter
+  /// Finalizer hook, once per counted superstep: records the counter
   /// sample and, when links are enabled and the superstep carried
   /// traffic, commits the current link matrix.
   void finalize_superstep(std::uint64_t superstep, std::uint64_t rounds,
@@ -227,7 +227,7 @@ class TraceSession {
 
   std::vector<TraceCounterSample> counters_ KM_GUARDED_BY(fold_gate);
   std::vector<LinkLoadMatrix> matrices_ KM_GUARDED_BY(fold_gate);
-  /// Scratch matrix the leaf folders fill row by row; committed (and
+  /// Scratch matrix the arrivals fill row by row; committed (and
   /// re-zeroed) by finalize_superstep when the superstep had traffic.
   std::vector<std::uint64_t> current_links_ KM_GUARDED_BY(fold_gate);
   /// Pool baselines for the per-superstep deltas.

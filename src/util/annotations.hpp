@@ -2,7 +2,7 @@
 // plus the annotated lock primitives the simulator uses with them.
 //
 // The engine's lock discipline — which members a mutex guards, which
-// functions must (or must not) hold it, and which state the combining-tree
+// functions must (or must not) hold it, and which state the worker
 // barrier hands a thread exclusively — is machine-checked at compile time
 // under clang's -Wthread-safety analysis (the `analyze` CMake preset turns
 // it into -Werror=thread-safety).  Off clang every macro expands to
@@ -101,7 +101,7 @@ class KM_SCOPED_CAPABILITY MutexLock {
 };
 
 /// A capability with no lock behind it: exclusive access established by a
-/// protocol instead of a mutex (the tree barrier's fold phase, the
+/// protocol instead of a mutex (the worker barrier's fold phase, the
 /// single-threaded prologue/epilogue of Engine::run).  acquire/release/
 /// assert_held cost nothing at runtime; they exist so KM_GUARDED_BY
 /// members stay machine-checked even where the exclusion mechanism is

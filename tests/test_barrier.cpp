@@ -1,10 +1,10 @@
-// Tests for the sense-reversing combining-tree barrier (sim/barrier.hpp)
-// and its role as the engine's superstep rendezvous: tree topology, the
-// fold/finalize call pattern, schedule-jitter stress across machine
-// counts (the interesting failures are schedule-dependent, so arrivals
-// are deliberately jittered and the CI tsan job runs this binary under
-// ThreadSanitizer), fault propagation through the tree, and sense
-// reversal across consecutive supersteps.
+// Tests for the worker barrier (sim/barrier.hpp) and its role as the
+// engine's superstep rendezvous: the finalize call pattern, leaving
+// participants, re-arming, schedule-jitter stress across machine counts
+// (the interesting failures are schedule-dependent, so arrivals are
+// deliberately jittered and the CI tsan job runs this binary under
+// ThreadSanitizer), fault propagation to parked machines, and episodes
+// across consecutive supersteps.
 #include "sim/barrier.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -21,70 +22,30 @@
 namespace km {
 namespace {
 
-TEST(TreeBarrier, TopologyCoversEveryParticipantExactlyOnce) {
-  for (const std::size_t n :
-       {1u, 2u, 3u, 4u, 5u, 7u, 16u, 17u, 63u, 64u, 255u, 256u}) {
-    const TreeBarrier b(n);
-    SCOPED_TRACE("n=" + std::to_string(n));
-    ASSERT_GE(b.node_count(), b.leaf_count());
-    // Every participant is covered by exactly its leaf_of node.
-    std::vector<int> covered(n, 0);
-    for (std::size_t leaf = 0; leaf < b.leaf_count(); ++leaf) {
-      ASSERT_TRUE(b.is_leaf(leaf));
-      const auto [begin, end] = b.children_of(leaf);
-      EXPECT_EQ(b.fan_in(leaf), end - begin);
-      EXPECT_LE(end - begin, TreeBarrier::kArity);
-      for (std::size_t who = begin; who < end; ++who) {
-        ASSERT_LT(who, n);
-        ++covered[who];
-        EXPECT_EQ(b.leaf_of(who), leaf);
-      }
-    }
-    for (std::size_t who = 0; who < n; ++who) EXPECT_EQ(covered[who], 1);
-    // Every node reaches the root by parent links; the root has none.
-    EXPECT_EQ(b.parent_of(b.root()), TreeBarrier::kNoParent);
-    for (std::size_t node = 0; node < b.node_count(); ++node) {
-      std::size_t cur = node;
-      std::size_t hops = 0;
-      while (b.parent_of(cur) != TreeBarrier::kNoParent) {
-        cur = b.parent_of(cur);
-        ASSERT_LT(++hops, b.node_count());
-      }
-      EXPECT_EQ(cur, b.root());
-    }
-    // Internal nodes partition the level below: fan-ins telescope to n.
-    std::size_t sum = 0;
-    for (std::size_t leaf = 0; leaf < b.leaf_count(); ++leaf) {
-      sum += b.fan_in(leaf);
-    }
-    EXPECT_EQ(sum, n);
-  }
-}
-
-/// One participant's full rendezvous through the split protocol, as the
-/// engine's idle workers run it: arrive_begin(), then, if parked, sample
-/// the sense word, recheck released(who) and wait_sense() on the sample
-/// until the root's flip lands.  Returns the episode's stop decision.
-template <typename Combine, typename Finalize>
-bool arrive_and_wait(TreeBarrier& barrier, std::size_t who,
-                     Combine&& combine, Finalize&& finalize) {
-  if (barrier.arrive_begin(who, combine, finalize) ==
-      TreeBarrier::ArriveOutcome::kParked) {
-    while (true) {
-      const std::uint32_t seen = barrier.sense_word();
-      if (barrier.released(who)) break;
-      barrier.wait_sense(seen);
-    }
+/// One participant's full rendezvous, as the engine's idle workers run
+/// it: sample the episode (it cannot move before this participant
+/// arrives), arrive, and unless this arrival finalized, wait on the
+/// sample until the bump lands.  Returns the episode's stop decision.
+template <typename Finalize>
+bool arrive_and_wait(WorkerBarrier& barrier, bool leave, Finalize&& finalize) {
+  const std::uint32_t episode = barrier.episode();
+  if (!barrier.arrive(leave, finalize)) {
+    while (barrier.episode() == episode) barrier.wait(episode);
   }
   return barrier.stop_flag();
 }
 
-TEST(TreeBarrier, FoldsEachNodeOnceAndFinalizesOncePerEpisode) {
-  for (const std::size_t n : {1u, 2u, 5u, 16u, 64u}) {
+TEST(WorkerBarrier, FinalizesOncePerEpisodeAndSeesEveryArrival) {
+  for (const std::size_t n : {1u, 2u, 3u, 5u, 16u}) {
     SCOPED_TRACE("n=" + std::to_string(n));
-    TreeBarrier barrier(n);
+    WorkerBarrier barrier;
+    barrier.reset(n);
     constexpr int kEpisodes = 7;
-    std::vector<std::atomic<int>> folds(barrier.node_count());
+    // Plain ints: each participant writes only its own entry before
+    // arriving, and finalize reads them all — the ordering the engine's
+    // worker folds rely on (tsan flags it if the countdown does not
+    // provide it).
+    std::vector<int> arrivals(n, 0);
     std::atomic<int> finalizes{0};
     std::atomic<int> concurrent_finalize{0};
     std::atomic<int> stop_seen{0};
@@ -97,20 +58,21 @@ TEST(TreeBarrier, FoldsEachNodeOnceAndFinalizesOncePerEpisode) {
           for (int ep = 0; ep < kEpisodes; ++ep) {
             std::this_thread::sleep_for(
                 std::chrono::microseconds(jitter.below(150)));
-            const bool stop = arrive_and_wait(
-                barrier, who,
-                [&](std::size_t node, bool, std::size_t, std::size_t) {
-                  folds[node].fetch_add(1);
-                },
-                [&] {
-                  // finalize must be exclusive: two concurrent calls
-                  // would mean two threads both thought they were last.
-                  EXPECT_EQ(concurrent_finalize.fetch_add(1), 0);
-                  finalizes.fetch_add(1);
-                  concurrent_finalize.fetch_sub(1);
-                  return ep == kEpisodes - 1;  // stop on the last episode
-                });
+            ++arrivals[who];
+            const bool stop = arrive_and_wait(barrier, false, [&] {
+              // finalize must be exclusive: two concurrent calls would
+              // mean two participants both thought they were last.
+              EXPECT_EQ(concurrent_finalize.fetch_add(1), 0);
+              for (std::size_t p = 0; p < n; ++p) {
+                EXPECT_EQ(arrivals[p], ep + 1) << "participant " << p;
+              }
+              EXPECT_EQ(barrier.participants(), n);
+              finalizes.fetch_add(1);
+              concurrent_finalize.fetch_sub(1);
+              return ep == kEpisodes - 1;  // stop on the last episode
+            });
             EXPECT_EQ(stop, ep == kEpisodes - 1);
+            EXPECT_EQ(barrier.episode(), static_cast<std::uint32_t>(ep + 1));
             if (stop) stop_seen.fetch_add(1);
           }
         });
@@ -118,31 +80,77 @@ TEST(TreeBarrier, FoldsEachNodeOnceAndFinalizesOncePerEpisode) {
     }
     EXPECT_EQ(finalizes.load(), kEpisodes);
     EXPECT_EQ(stop_seen.load(), static_cast<int>(n))
-        << "every participant must observe the root's stop decision";
-    for (std::size_t node = 0; node < barrier.node_count(); ++node) {
-      EXPECT_EQ(folds[node].load(), kEpisodes)
-          << "node " << node << " must fold exactly once per episode";
-    }
+        << "every participant must observe the finalizer's stop decision";
   }
 }
 
-TEST(TreeBarrier, ResetRearmsAfterStop) {
-  TreeBarrier barrier(3);
-  auto no_fold = [](std::size_t, bool, std::size_t, std::size_t) {};
-  for (int round = 0; round < 2; ++round) {
+TEST(WorkerBarrier, LeavingParticipantCountsOnceThenDropsOut) {
+  // Participant p arrives for episodes 0 .. p and leaves on its last, so
+  // episode e sees the n - e participants that are still in, and
+  // participants() reads the count that stays for the next episode.
+  constexpr std::size_t kParticipants = 5;
+  WorkerBarrier barrier;
+  barrier.reset(kParticipants);
+  std::vector<int> arrivals(kParticipants, 0);
+  std::vector<std::size_t> stayed;  // participants() seen by each finalize
+  {
+    std::vector<std::jthread> threads;
+    for (std::size_t who = 0; who < kParticipants; ++who) {
+      threads.emplace_back([&, who] {
+        Rng jitter(0x1eaf, who);
+        for (std::size_t ep = 0; ep <= who; ++ep) {
+          std::this_thread::sleep_for(
+              std::chrono::microseconds(jitter.below(150)));
+          ++arrivals[who];
+          arrive_and_wait(barrier, ep == who, [&] {
+            int in = 0;
+            for (const int a : arrivals) in += a;
+            // Episodes 0 .. ep have seen n + (n-1) + ... + (n-ep) arrivals.
+            int want = 0;
+            for (std::size_t e = 0; e <= ep; ++e) {
+              want += static_cast<int>(kParticipants - e);
+            }
+            EXPECT_EQ(in, want) << "episode " << ep;
+            stayed.push_back(barrier.participants());
+            return false;
+          });
+        }
+      });
+    }
+  }
+  for (std::size_t who = 0; who < kParticipants; ++who) {
+    EXPECT_EQ(arrivals[who], static_cast<int>(who + 1));
+  }
+  EXPECT_EQ(stayed, (std::vector<std::size_t>{4, 3, 2, 1, 0}));
+  EXPECT_EQ(barrier.episode(), kParticipants);
+}
+
+TEST(WorkerBarrier, ResetRearmsAndRejectsZeroParticipants) {
+  WorkerBarrier barrier;
+  EXPECT_THROW(barrier.reset(0), std::invalid_argument);
+  for (int run = 0; run < 2; ++run) {
+    barrier.reset(3);
+    EXPECT_EQ(barrier.episode(), 0u);
+    EXPECT_FALSE(barrier.stop_flag());
+    EXPECT_EQ(barrier.participants(), 3u);
     std::atomic<int> stops{0};
     {
       std::vector<std::jthread> threads;
       for (std::size_t who = 0; who < 3; ++who) {
-        threads.emplace_back([&, who] {
-          if (arrive_and_wait(barrier, who, no_fold, [] { return true; })) {
-            stops.fetch_add(1);
+        threads.emplace_back([&] {
+          // Two episodes; the second stops the run.  A participant that
+          // left in an earlier run must not shrink this one.
+          for (int ep = 0; ep < 2; ++ep) {
+            if (arrive_and_wait(barrier, ep == 1,
+                                [&, ep] { return ep == 1; })) {
+              stops.fetch_add(1);
+            }
           }
         });
       }
     }
     EXPECT_EQ(stops.load(), 3);
-    barrier.reset();
+    EXPECT_EQ(barrier.participants(), 0u);
   }
 }
 
@@ -152,7 +160,7 @@ TEST(TreeBarrier, ResetRearmsAfterStop) {
 
 // Every machine sends one distinct message to every peer per superstep
 // while sleeping random amounts before sending and before arriving, so
-// machines hit the tree in a different interleaving every run.  Receivers
+// machines hit the barrier in a different interleaving every run.  Receivers
 // verify the full contract: count, ascending source, and per-step values.
 void jittered_all_to_all(std::size_t machines, int supersteps,
                          std::uint64_t seed) {
@@ -194,8 +202,9 @@ TEST(BarrierStress, JitteredAllToAllMedium) {
 }
 
 TEST(BarrierStress, JitteredRing256) {
-  // k = 256: the tree is 4 levels deep; a neighbor ring keeps the
-  // traffic linear in k so the stress is the rendezvous, not delivery.
+  // k = 256 machines parked across the default workers; a neighbor ring
+  // keeps the traffic linear in k so the stress is the rendezvous, not
+  // delivery.
   constexpr std::size_t kMachines = 256;
   constexpr int kSupersteps = 3;
   Engine engine(kMachines, {.bandwidth_bits = 1 << 16, .seed = 15});
@@ -221,9 +230,9 @@ TEST(BarrierStress, JitteredRing256) {
 }
 
 TEST(BarrierStress, FaultInjectionPropagatesThroughTree) {
-  // The injected throw happens on the root finalizer with 64 machines
-  // parked across a 3-level tree; every one of them must wake, see the
-  // stop, and the error must surface out of run() — no deadlock.
+  // The injected throw happens on the finalizer with the other 63
+  // machines parked; every one of them must wake, see the stop, and the
+  // error must surface out of run() — no deadlock.
   constexpr std::size_t kMachines = 64;
   EngineConfig cfg{.bandwidth_bits = 1 << 12, .seed = 16};
   auto fired = std::make_shared<std::atomic<bool>>(false);
@@ -254,8 +263,8 @@ TEST(BarrierStress, FaultInjectionPropagatesThroughTree) {
 }
 
 TEST(BarrierStress, SenseReversalAcrossConsecutiveSupersteps) {
-  // Runs well past three sense flips and asserts each superstep delivers
-  // exactly its own wave: a parity/sense bug would surface as stale or
+  // Runs well past three episodes and asserts each superstep delivers
+  // exactly its own wave: a parity/episode bug would surface as stale or
   // missing messages in some superstep.
   constexpr std::size_t kMachines = 16;
   constexpr int kSupersteps = 6;

@@ -15,7 +15,7 @@
 // Two more sweeps run selected workloads at larger k, since the golden
 // cell's k = 4 keeps every worker's share tiny: k = 12 with worker
 // counts that divide the machines unevenly across blocks, and k = 64,
-// where machines are dealt to workers in barrier leaf groups.
+// where machines are dealt to workers round-robin in groups of four.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -147,8 +147,8 @@ TEST(Determinism, UnevenBlocksAtLargerKStayInvariant) {
 }
 
 TEST(Determinism, LeafGroupDealAtK64StaysInvariant) {
-  // At k = 64, ceil(k / W) exceeds TreeBarrier::kArity for W <= 4, so
-  // the executor deals barrier leaf groups to workers round-robin
+  // At k = 64, ceil(k / W) exceeds Executor::kDealGroup for W <= 4, so
+  // the executor deals groups of four to workers round-robin
   // (sim/executor.hpp) — unevenly at W = 3 — where the golden cell's
   // k = 4 always gets contiguous blocks.  triangles puts its busy tuple
   // machines at the lowest ids, which the deal spreads over workers.

@@ -8,6 +8,8 @@
 #include <atomic>
 #include <memory>
 #include <numeric>
+#include <string>
+#include <vector>
 
 namespace km {
 namespace {
@@ -134,23 +136,34 @@ TEST(Engine, CollectiveStashesAlgorithmMessages) {
   });
 }
 
+/// Worker counts for the finish-path tests: one worker, two, and one per
+/// machine.  Whether a whole worker's machines finish early depends on
+/// W, so these tests pin it instead of taking the host's core count.
+std::vector<std::size_t> finish_worker_counts(std::size_t machines) {
+  return {1, 2, machines};
+}
+
 TEST(Engine, FinishedMachineReadsAsZeroInAllGather) {
   // Machine 3 returns before the others call all_gather: its slot reads
   // as 0, and the other machines' k-1 copies addressed to it are dropped.
   constexpr std::size_t kMachines = 4;
-  Engine engine(kMachines, {.bandwidth_bits = 1024, .seed = 1});
-  const auto metrics = engine.run([&](MachineContext& ctx) {
-    if (ctx.id() == 3) return;
-    const auto values = ctx.all_gather(100 + ctx.id());
-    ASSERT_EQ(values.size(), kMachines);
-    for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(values[i], 100 + i);
-    EXPECT_EQ(values[3], 0u);
-    EXPECT_EQ(ctx.all_reduce_sum(ctx.id() + 1), 6u);  // 1+2+3, 4th is 0
-  });
-  // Two collectives by three machines, three copies each.
-  EXPECT_EQ(metrics.messages, 2u * 3 * 3);
-  EXPECT_EQ(metrics.dropped_messages, 2u * (kMachines - 1));
-  EXPECT_EQ(metrics.supersteps, 2u);
+  for (const std::size_t workers : finish_worker_counts(kMachines)) {
+    SCOPED_TRACE("W=" + std::to_string(workers));
+    Engine engine(kMachines,
+                  {.bandwidth_bits = 1024, .seed = 1, .workers = workers});
+    const auto metrics = engine.run([&](MachineContext& ctx) {
+      if (ctx.id() == 3) return;
+      const auto values = ctx.all_gather(100 + ctx.id());
+      ASSERT_EQ(values.size(), kMachines);
+      for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(values[i], 100 + i);
+      EXPECT_EQ(values[3], 0u);
+      EXPECT_EQ(ctx.all_reduce_sum(ctx.id() + 1), 6u);  // 1+2+3, 4th is 0
+    });
+    // Two collectives by three machines, three copies each.
+    EXPECT_EQ(metrics.messages, 2u * 3 * 3);
+    EXPECT_EQ(metrics.dropped_messages, 2u * (kMachines - 1));
+    EXPECT_EQ(metrics.supersteps, 2u);
+  }
 }
 
 TEST(Engine, CollectiveSuperstepKeepsPointToPointOrder) {
@@ -251,33 +264,66 @@ TEST(Engine, MetricsAreDeterministicAcrossRuns) {
 
 TEST(Engine, UnevenFinishDoesNotDeadlock) {
   // Machine 0 finishes immediately; the others keep exchanging.
-  Engine engine(3, {.bandwidth_bits = 1024, .seed = 1});
-  const auto metrics = engine.run([&](MachineContext& ctx) {
-    if (ctx.id() == 0) return;
-    for (int i = 0; i < 10; ++i) {
-      if (ctx.id() == 1) {
-        Writer w;
-        w.put_varint(i);
-        ctx.send(2, 1, w);
+  for (const std::size_t workers : finish_worker_counts(3)) {
+    SCOPED_TRACE("W=" + std::to_string(workers));
+    Engine engine(3, {.bandwidth_bits = 1024, .seed = 1, .workers = workers});
+    const auto metrics = engine.run([&](MachineContext& ctx) {
+      if (ctx.id() == 0) return;
+      for (int i = 0; i < 10; ++i) {
+        if (ctx.id() == 1) {
+          Writer w;
+          w.put_varint(i);
+          ctx.send(2, 1, w);
+        }
+        ctx.exchange();
       }
-      ctx.exchange();
-    }
-  });
-  EXPECT_EQ(metrics.dropped_messages, 0u);
-  EXPECT_GE(metrics.supersteps, 10u);
+    });
+    EXPECT_EQ(metrics.dropped_messages, 0u);
+    EXPECT_GE(metrics.supersteps, 10u);
+  }
 }
 
 TEST(Engine, MessageToFinishedMachineIsDropped) {
-  Engine engine(2, {.bandwidth_bits = 1024, .seed = 1});
+  for (const std::size_t workers : finish_worker_counts(2)) {
+    SCOPED_TRACE("W=" + std::to_string(workers));
+    Engine engine(2, {.bandwidth_bits = 1024, .seed = 1, .workers = workers});
+    const auto metrics = engine.run([&](MachineContext& ctx) {
+      if (ctx.id() == 0) return;  // finishes before the send below lands
+      ctx.exchange();             // let machine 0 finish first
+      Writer w;
+      w.put_varint(1);
+      ctx.send(0, 1, w);
+      ctx.exchange();
+    });
+    EXPECT_EQ(metrics.dropped_messages, 1u);
+  }
+}
+
+TEST(Engine, WorkerWhoseMachinesAllFinishDoesNotDeadlock) {
+  // k = 8 over W = 2 puts machines 0-3 on worker 0 and 4-7 on worker 1.
+  // All of worker 0's machines return at once; worker 1's keep
+  // exchanging, and one message addressed to machine 0 is dropped.
+  constexpr std::size_t kMachines = 8;
+  Engine engine(kMachines, {.bandwidth_bits = 1024, .seed = 1, .workers = 2});
   const auto metrics = engine.run([&](MachineContext& ctx) {
-    if (ctx.id() == 0) return;  // finishes before the send below lands
-    ctx.exchange();             // let machine 0 finish first
-    Writer w;
-    w.put_varint(1);
-    ctx.send(0, 1, w);
-    ctx.exchange();
+    if (ctx.id() < 4) return;
+    for (int i = 0; i < 10; ++i) {
+      Writer w;
+      w.put_varint(static_cast<std::uint64_t>(i));
+      ctx.send(4 + (ctx.id() - 3) % 4, 1, w);
+      if (ctx.id() == 5 && i == 6) {
+        Writer late;
+        late.put_varint(1);
+        ctx.send(0, 2, late);
+      }
+      const auto in = ctx.exchange();
+      ASSERT_EQ(in.size(), 1u);
+      EXPECT_EQ(in[0].src, 4 + (ctx.id() - 1) % 4);
+    }
   });
   EXPECT_EQ(metrics.dropped_messages, 1u);
+  EXPECT_GE(metrics.supersteps, 10u);
+  EXPECT_EQ(metrics.messages, 4u * 10 + 1);
 }
 
 TEST(Engine, ExceptionInMachinePropagates) {

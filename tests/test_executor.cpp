@@ -5,7 +5,7 @@
 // FiberSwitch drives FiberContext::switch_to directly: entry/argument
 // plumbing, repeated suspend/resume round trips, and stack usability.
 // ExecutorPool exercises the scheduler: machines are dealt to workers in
-// barrier leaf groups, every machine runs exactly once at any worker
+// round-robin groups, every machine runs exactly once at any worker
 // count, parked machines resume when their predicate flips (including
 // cross-worker wakeups through IdleHooks), the first escaping exception
 // is rethrown from run() without stopping the rest, and k >> W
@@ -26,7 +26,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/barrier.hpp"
 #include "sim/executor.hpp"
 #include "sim/fiber.hpp"
 
@@ -159,7 +158,7 @@ TEST(ExecutorPool, WorkerCountResolvesAndClamps) {
 
 /// (k, W) shapes for the pool tests.  In (5, 4), (7, 6) and (12, 5),
 /// ceil(k / W)-sized groups cover k before the W-th worker, so fewer
-/// workers run; the last three deal leaf groups of TreeBarrier::kArity
+/// workers run; the last three deal groups of Executor::kDealGroup
 /// round-robin, (64, 3) unevenly (six groups to worker 0, five to the
 /// others).
 constexpr std::pair<std::size_t, std::size_t> kPoolShapes[] = {
@@ -167,13 +166,13 @@ constexpr std::pair<std::size_t, std::size_t> kPoolShapes[] = {
     {7, 6},  {12, 5}, {64, 2}, {64, 3}, {1024, 4}};
 
 TEST(ExecutorPool, LeafGroupsAreDealtRoundRobin) {
-  constexpr std::size_t kArity = TreeBarrier::kArity;
+  constexpr std::size_t kGroup = Executor::kDealGroup;
   for (const auto& [machines, workers] : kPoolShapes) {
     SCOPED_TRACE("k=" + std::to_string(machines) +
                  " W=" + std::to_string(workers));
     const Executor ex(machines, workers, IdleHooks{});
     const std::size_t share = (machines + workers - 1) / workers;
-    const std::size_t group = std::min(kArity, share);
+    const std::size_t group = std::min(kGroup, share);
     EXPECT_LE(ex.worker_count(), workers);
     EXPECT_EQ(ex.worker_count(),
               std::min(workers, (machines + group - 1) / group));
@@ -182,12 +181,12 @@ TEST(ExecutorPool, LeafGroupsAreDealtRoundRobin) {
       const std::size_t w = ex.worker_of(m);
       ASSERT_LT(w, ex.worker_count());
       EXPECT_EQ(w, m / group % ex.worker_count()) << "machine " << m;
-      if (share <= kArity) {
+      if (share <= kGroup) {
         EXPECT_EQ(w, m / share) << "machine " << m << ": not a block";
       }
-      if (share >= kArity) {
-        EXPECT_EQ(w, ex.worker_of(m / kArity * kArity))
-            << "machine " << m << " split from its barrier leaf";
+      if (share >= kGroup) {
+        EXPECT_EQ(w, ex.worker_of(m / kGroup * kGroup))
+            << "machine " << m << " split from its group";
       }
       ++owned[w];
     }

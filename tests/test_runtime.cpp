@@ -100,6 +100,39 @@ TEST(Dataset, SemanticErrors) {
                DatasetError);
 }
 
+TEST(Dataset, InvalidProbabilitiesFailFast) {
+  // A NaN p once spun skip_sample forever, and p outside [0, 1] silently
+  // built the complete or the empty graph; each is rejected up front
+  // with an error that names the key.
+  const std::pair<const char*, const char*> cases[] = {
+      {"gnp:n=10,p=nan", "parameter p "},
+      {"gnp:n=10,p=2", "parameter p "},
+      {"gnp:n=10,p=inf", "parameter p "},
+      {"gnp:n=10,p=-1", "parameter p "},
+      {"bipartite:a=5,b=5,p=nan", "parameter p "},
+      {"bipartite:a=5,b=5,p=1.5", "parameter p "},
+      {"ws:n=10,beta=nan", "parameter beta "},
+      {"ws:n=10,beta=-0.1", "parameter beta "},
+      {"rmat:n=16,a=nan", "parameter a "},
+      {"rmat:n=16,b=inf", "parameter b "},
+      {"rmat:n=16,c=-inf", "parameter c "},
+  };
+  for (const auto& [spec, key] : cases) {
+    SCOPED_TRACE(spec);
+    try {
+      load_dataset(spec, DatasetKind::kUndirected, 1);
+      ADD_FAILURE() << "expected DatasetError";
+    } catch (const DatasetError& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  }
+  // The closed interval's ends stay valid.
+  EXPECT_EQ(load_dataset("gnp:n=10,p=0", DatasetKind::kUndirected, 1).m, 0u);
+  EXPECT_EQ(load_dataset("gnp:n=10,p=1", DatasetKind::kUndirected, 1).m, 45u);
+  EXPECT_NO_THROW(load_dataset("ws:n=10,beta=1", DatasetKind::kUndirected, 1));
+}
+
 TEST(Dataset, FileLoaderErrorsKeepPositionContext) {
   const std::string path = testing::TempDir() + "km_bad_edges.txt";
   {

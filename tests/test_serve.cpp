@@ -290,6 +290,23 @@ TEST(ScenarioService, ErrorsAreResponsesNotExceptions) {
   EXPECT_EQ(service.counters().errors, 3u);
 }
 
+TEST(ScenarioService, NanProbabilityGetsAnErrorDocument) {
+  // A NaN p once spun the runner's dataset build forever; it must come
+  // back as an error response that names the key, and the service must
+  // keep serving.
+  ScenarioService service(ServiceConfig{});
+  const Response nan_p =
+      service.handle(run_request("components", "gnp:n=48,p=nan"));
+  EXPECT_FALSE(nan_p.ok);
+  EXPECT_NE(nan_p.error.find("parameter p "), std::string::npos)
+      << nan_p.error;
+  EXPECT_NE(serve::meta_line(nan_p).find(R"("status":"error")"),
+            std::string::npos);
+  EXPECT_EQ(service.counters().errors, 1u);
+  EXPECT_TRUE(
+      service.handle(run_request("components", "gnp:n=48,p=0.15")).ok);
+}
+
 TEST(ScenarioService, StatsDocIsParsableAndCountsTraffic) {
   ScenarioService service(ServiceConfig{});
   (void)service.handle(run_request("components", "gnp:n=48,p=0.15"));
