@@ -2,8 +2,9 @@
 //
 //  1. PageRank heavy-vertex path on/off (the core of Algorithm 1 vs the
 //     naive baseline) on the star hot spot;
-//  2. PageRank termination-check interval (collective frequency vs
-//     round floor);
+//  2. PageRank termination-check interval (how often the termination
+//     sum adds its charges to a token superstep vs how many trailing
+//     token-free iterations run);
 //  3. Triangle designation threshold: the paper's high-degree rule vs
 //     forcing everyone low (pure hash tie-break) vs everyone high, on a
 //     skewed Barabasi-Albert graph — the rule exists to spread a hub's

@@ -13,11 +13,12 @@ namespace {
 
 constexpr std::uint16_t kFragPushTag = 1;   // (vertex, fragment)
 constexpr std::uint16_t kCandidateTag = 2;  // (frag, u, v, w, other_frag)
-constexpr std::uint16_t kMutualTag = 3;     // (to_frag, from_frag, u, v, w)
+constexpr std::uint16_t kRegisterTag = 3;   // (frag): a host, no candidate
 constexpr std::uint16_t kJumpQueryTag = 4;  // (queried_frag, asking_frag)
 constexpr std::uint16_t kJumpReplyTag = 5;  // (asking_frag, new_ptr)
-constexpr std::uint16_t kRootQueryTag = 6;  // (frag)
-constexpr std::uint16_t kRootReplyTag = 7;  // (frag, root)
+constexpr std::uint16_t kJumpRootTag = 6;   // the same, new_ptr is a root
+constexpr std::uint16_t kRootPushTag = 7;   // (frag, root)
+constexpr std::uint16_t kFinishedTag = 8;   // (frag): no outgoing edge
 
 /// No label received for a neighbor this phase (fragment ids are vertex
 /// ids, so never this value).
@@ -41,9 +42,35 @@ struct Candidate {
 
 /// Per-fragment state a proxy machine tracks within one phase.
 struct FragState {
-  Candidate moe;
+  Candidate moe;           // invalid: the fragment has no outgoing edge
   std::uint32_t ptr = 0;   // pointer-jumping cursor towards the root
   bool record = false;     // whether this proxy emits the MOE edge
+  bool at_root = false;    // ptr is the fragment's new root
+  bool pushed = false;     // the root went to the fragment's hosts
+  std::uint32_t hosts_begin = 0;  // the hosts to push to, as a range of
+  std::uint32_t hosts_end = 0;    // the proxy's host list
+};
+
+/// A pointer-jumping query at the queried fragment's proxy: `asking`'s
+/// pointer is `queried`, and machine `src` is `asking`'s proxy.
+struct JumpQuery {
+  std::uint32_t queried = 0;
+  std::uint32_t asking = 0;
+  std::uint32_t src = 0;
+};
+
+/// Its answer: `asking`'s new pointer, and whether that is a root.
+struct JumpReply {
+  std::uint32_t asking = 0;
+  std::uint32_t ptr = 0;
+  bool at_root = false;
+};
+
+/// One host's Step B entry for a fragment, at the fragment's proxy.
+struct Registration {
+  std::uint32_t frag = 0;
+  std::uint32_t host = 0;
+  Candidate cand;  // the host's local MOE of the fragment, if any
 };
 
 void put_edge(Writer& w, const WeightedEdge& e) {
@@ -145,6 +172,9 @@ DistributedMstResult run_boruvka(const WeightedGraph& g,
     // frag[i] = fragment (root vertex id) of owned[i].
     std::vector<std::uint32_t> frag(owned.size());
     for (std::size_t i = 0; i < owned.size(); ++i) frag[i] = owned[i];
+    // finished[i]: owned[i]'s fragment has no outgoing edge, so it is a
+    // whole component and stays as it is.
+    std::vector<char> finished(owned.size(), 0);
     std::vector<std::uint32_t> nbr_frag(ghost.size());
     Writer label;
     std::size_t phase = 0;
@@ -173,19 +203,27 @@ DistributedMstResult run_boruvka(const WeightedGraph& g,
       }
 
       // ---- Step B: local MOE per fragment -> fragment proxies. ----
-      // frags = the sorted distinct fragments of the owned vertices
-      // (fixed until Step D relabels), frag_slot[i] = frag[i]'s index.
-      std::vector<std::uint32_t> frags(frag);
+      // frags = the sorted distinct fragments of the owned vertices not
+      // known to be finished (fixed until Step D relabels), frag_slot[i]
+      // = frag[i]'s index.  Every host of such a fragment registers with
+      // its proxy, with its local candidate or empty, so the proxy knows
+      // where to push the fragment's new root.
+      std::vector<std::uint32_t> frags;
+      for (std::size_t i = 0; i < owned.size(); ++i) {
+        if (!finished[i]) frags.push_back(frag[i]);
+      }
       std::sort(frags.begin(), frags.end());
       frags.erase(std::unique(frags.begin(), frags.end()), frags.end());
       std::vector<std::uint32_t> frag_slot(owned.size());
       for (std::size_t i = 0; i < owned.size(); ++i) {
+        if (finished[i]) continue;
         frag_slot[i] = static_cast<std::uint32_t>(
             std::lower_bound(frags.begin(), frags.end(), frag[i]) -
             frags.begin());
       }
       std::vector<Candidate> local_best(frags.size());
       for (std::size_t i = 0; i < owned.size(); ++i) {
+        if (finished[i]) continue;
         const Vertex v = owned[i];
         const auto ns = g.neighbors(v);
         const auto ws = g.weights(v);
@@ -200,215 +238,228 @@ DistributedMstResult run_boruvka(const WeightedGraph& g,
               other);
         }
       }
-      // proxy_state: the fragments this machine is proxy for, sorted by
-      // id.  The global MOE is a minimum under a total order, so it does
-      // not depend on the order the candidates arrive in.
-      std::vector<std::pair<std::uint32_t, FragState>> proxy_state;
-      const auto add_candidate = [&](std::uint32_t f, const WeightedEdge& e,
-                                     std::uint32_t other) {
-        FragState st;
-        st.moe.offer(e, other);
-        proxy_state.emplace_back(f, st);
-      };
+      // The registrations this machine receives as a proxy, its own
+      // included.
+      std::vector<Registration> registrations;
       for (std::size_t c = 0; c < frags.size(); ++c) {
         const Candidate& cand = local_best[c];
-        if (!cand.valid) continue;
         const std::uint32_t f = frags[c];
         const std::size_t proxy = proxy_of(f);
         if (proxy == self) {
-          add_candidate(f, cand.edge, cand.other_frag);
-        } else {
-          Writer w;
-          w.put_varint(f);
+          registrations.push_back(
+              {.frag = f, .host = static_cast<std::uint32_t>(self),
+               .cand = cand});
+          continue;
+        }
+        Writer w;
+        w.put_varint(f);
+        if (cand.valid) {
           put_edge(w, cand.edge);
           w.put_varint(cand.other_frag);
-          ctx.send(proxy, kCandidateTag, w);
         }
+        ctx.send(proxy, cand.valid ? kCandidateTag : kRegisterTag, w);
       }
       for (const Message& msg : ctx.exchange()) {
         Reader r(msg.payload);
-        const auto f = static_cast<std::uint32_t>(r.get_varint());
-        const WeightedEdge e = get_edge(r);
-        add_candidate(f, e, static_cast<std::uint32_t>(r.get_varint()));
+        Registration reg;
+        reg.frag = static_cast<std::uint32_t>(r.get_varint());
+        reg.host = msg.src;
+        if (msg.tag == kCandidateTag) {
+          const WeightedEdge e = get_edge(r);
+          reg.cand.offer(e, static_cast<std::uint32_t>(r.get_varint()));
+        }
+        registrations.push_back(reg);
       }
-      // By fragment, then MOE first; keep each fragment's first entry.
-      std::sort(proxy_state.begin(), proxy_state.end(),
-                [](const auto& a, const auto& b) {
-                  return a.first != b.first
-                             ? a.first < b.first
-                             : mst_edge_less(a.second.moe.edge,
-                                             b.second.moe.edge);
+      // proxy_state: one entry per registered fragment, sorted by id.  Its
+      // MOE is the least candidate, a minimum under a total order, so it
+      // does not depend on the order the candidates arrive in; `hosts`
+      // lists the fragment's other hosts in ascending order.
+      std::sort(registrations.begin(), registrations.end(),
+                [](const Registration& a, const Registration& b) {
+                  return a.frag != b.frag ? a.frag < b.frag : a.host < b.host;
                 });
-      proxy_state.erase(
-          std::unique(proxy_state.begin(), proxy_state.end(),
-                      [](const auto& a, const auto& b) {
-                        return a.first == b.first;
-                      }),
-          proxy_state.end());
-      // The tracked state of fragment f, or null when f is finished.
-      const auto find_state = [&](std::uint32_t f) -> FragState* {
+      std::vector<std::pair<std::uint32_t, FragState>> proxy_state;
+      std::vector<std::uint32_t> hosts;
+      for (const Registration& reg : registrations) {
+        if (proxy_state.empty() || proxy_state.back().first != reg.frag) {
+          proxy_state.emplace_back(reg.frag, FragState{});
+          proxy_state.back().second.hosts_begin =
+              static_cast<std::uint32_t>(hosts.size());
+        }
+        FragState& st = proxy_state.back().second;
+        if (reg.cand.valid) st.moe.offer(reg.cand.edge, reg.cand.other_frag);
+        if (reg.host != self) hosts.push_back(reg.host);
+        st.hosts_end = static_cast<std::uint32_t>(hosts.size());
+      }
+      // The tracked state of fragment f.  Every fragment a pointer or a
+      // query can name has an outgoing edge, so its hosts registered it.
+      const auto state_of = [&](std::uint32_t f) -> FragState& {
         const auto it = std::lower_bound(
             proxy_state.begin(), proxy_state.end(), f,
             [](const auto& entry, std::uint32_t key) {
               return entry.first < key;
             });
-        return (it == proxy_state.end() || it->first != f) ? nullptr
-                                                           : &it->second;
+        if (it == proxy_state.end() || it->first != f) {
+          throw std::logic_error("mst: fragment not registered at its proxy");
+        }
+        return it->second;
       };
 
-      // ---- Step C: break mutual-MOE 2-cycles, pick roots. ----
-      // Every tracked fragment tells its parent's proxy about its MOE;
-      // the smaller fragment of a mutual pair becomes the root and emits
-      // the edge (dedup), the larger one drops its copy.
-      // Each tracked fragment f points at its MOE partner; the merge
-      // graph is a functional graph whose only cycles are the mutual-MOE
-      // 2-cycles (the MOE is unique under mst_edge_less).  The larger
-      // half of each mutual pair drops its duplicate edge copy here; the
-      // pair minimum becomes the root via the min rule during pointer
-      // jumping below.
-      std::vector<std::pair<std::uint32_t, std::uint32_t>> drop_if_mutual;
+      // ---- Step C: new roots by pointer jumping across proxies. ----
+      // Each fragment f with an MOE starts pointing at its MOE partner;
+      // the merge graph is a functional graph whose only cycles are the
+      // mutual-MOE 2-cycles (the MOE is unique under mst_edge_less).  A
+      // fragment without an MOE is a whole component: its own root.
+      // A jump is a query superstep and a reply superstep: ptr[f] <-
+      // ptr[ptr[f]], and the reply says whether the new pointer is a
+      // root (the answering fragment's own pointer had reached one); a
+      // pointer at a root stops asking.  The first query doubles as the
+      // mutual check: g's proxy learns from f's query that {f, g} is a
+      // mutual pair when g's MOE points back at f.  The smaller half
+      // becomes the root and emits the edge, the larger one drops its
+      // copy, and both pointers are then at the root.
+      // Every query superstep carries the OR of "a pointer here has not
+      // reached its root".  False at the first jump, it means no
+      // fragment has an MOE and the forest is complete; false later, it
+      // means every root is known.  From the second jump on, a query
+      // superstep also pushes the root of every fragment that reached it
+      // since the previous one to the hosts that registered the fragment
+      // in Step B.
       for (auto& [f, st] : proxy_state) {
-        st.ptr = st.moe.other_frag;
-        st.record = true;
-        const std::size_t target = proxy_of(st.moe.other_frag);
-        if (target == self) {
-          drop_if_mutual.emplace_back(st.moe.other_frag, f);
-          continue;
+        if (st.moe.valid) {
+          st.ptr = st.moe.other_frag;
+          st.record = true;
+        } else {
+          st.ptr = f;
+          st.at_root = true;
         }
-        Writer w;
-        w.put_varint(st.moe.other_frag);
-        w.put_varint(f);
-        put_edge(w, st.moe.edge);
-        ctx.send(target, kMutualTag, w);
       }
-      auto apply_mutual = [&](std::uint32_t gf, std::uint32_t from,
-                              const WeightedEdge& e) {
-        FragState* st = find_state(gf);
-        if (st == nullptr) return;  // finished fragment
-        if (st->moe.valid && st->moe.other_frag == from &&
-            st->moe.edge == e && gf > from) {
-          st->record = false;  // duplicate (larger) half of a mutual pair
+      std::vector<std::uint32_t> root_of(frags.size(), kNoFrag);
+      std::vector<char> frag_done(frags.size(), 0);
+      const auto learn_root = [&](std::uint32_t f, std::uint32_t root,
+                                  bool done) {
+        const auto it = std::lower_bound(frags.begin(), frags.end(), f);
+        if (it == frags.end() || *it != f) {
+          throw std::logic_error("mst: root push for an unknown fragment");
         }
+        const auto c = static_cast<std::size_t>(it - frags.begin());
+        root_of[c] = root;
+        frag_done[c] = done ? 1 : 0;
       };
-      for (const auto& [gf, from] : drop_if_mutual) {
-        apply_mutual(gf, from, find_state(from)->moe.edge);
-      }
-      for (const Message& msg : ctx.exchange()) {
-        Reader r(msg.payload);
-        const auto gf = static_cast<std::uint32_t>(r.get_varint());
-        const auto from = static_cast<std::uint32_t>(r.get_varint());
-        apply_mutual(gf, from, get_edge(r));
-      }
-
-      // Pointer jumping across fragment proxies: ptr[f] <- ptr[ptr[f]]
-      // each iteration; a query that closes a 2-cycle resolves to the
-      // pair minimum, which thereby becomes the root.
-      for (std::size_t jump = 0; jump < jump_iters; ++jump) {
-        bool changed = false;
-        for (const auto& [f, st] : proxy_state) {
+      bool complete = false;
+      for (std::size_t jump = 0;; ++jump) {
+        if (jump > jump_iters) {
+          throw std::logic_error("mst: pointer jumping did not converge");
+        }
+        // The queries this machine answers this jump: its own first.
+        std::vector<JumpQuery> queries;
+        bool jumping = false;
+        for (auto& [f, st] : proxy_state) {
+          if (st.at_root) {
+            if (jump == 0 || st.pushed) continue;
+            st.pushed = true;
+            Writer w;
+            w.put_varint(f);
+            if (st.moe.valid) w.put_varint(st.ptr);
+            const std::uint16_t tag =
+                st.moe.valid ? kRootPushTag : kFinishedTag;
+            for (std::uint32_t h = st.hosts_begin; h < st.hosts_end; ++h) {
+              ctx.send(hosts[h], tag, w.view());
+            }
+            continue;
+          }
+          jumping = true;
           const std::size_t target = proxy_of(st.ptr);
-          if (target == self) continue;  // resolved locally below
+          if (target == self) {
+            queries.push_back({.queried = st.ptr, .asking = f,
+                               .src = static_cast<std::uint32_t>(self)});
+            continue;
+          }
           Writer w;
           w.put_varint(st.ptr);
           w.put_varint(f);
           ctx.send(target, kJumpQueryTag, w);
         }
-        // Answer queries: ptr[g], with the 2-cycle min rule.
-        auto answer = [&](std::uint32_t g,
-                          std::uint32_t asking) -> std::uint32_t {
-          const FragState* st = find_state(g);
-          if (st == nullptr) return g;  // finished: g is a root
-          const std::uint32_t next = st->ptr;
-          if (next == asking) return std::min(g, asking);  // 2-cycle
-          return next;
-        };
-        // (index into proxy_state, new ptr)
-        std::vector<std::pair<std::size_t, std::uint32_t>> local_updates;
-        for (std::size_t c = 0; c < proxy_state.size(); ++c) {
-          const auto& [f, st] = proxy_state[c];
-          if (proxy_of(st.ptr) != self) continue;
-          local_updates.emplace_back(c, answer(st.ptr, f));
-        }
-        for (const Message& msg : ctx.exchange()) {
+        const Gathered step = ctx.exchange_gather(jumping ? 1 : 0);
+        for (const Message& msg : step.messages) {
           Reader r(msg.payload);
           const auto g2 = static_cast<std::uint32_t>(r.get_varint());
-          const auto asking = static_cast<std::uint32_t>(r.get_varint());
+          if (msg.tag == kJumpQueryTag) {
+            queries.push_back(
+                {.queried = g2,
+                 .asking = static_cast<std::uint32_t>(r.get_varint()),
+                 .src = msg.src});
+          } else if (msg.tag == kRootPushTag) {
+            learn_root(g2, static_cast<std::uint32_t>(r.get_varint()), false);
+          } else {
+            learn_root(g2, g2, true);
+          }
+        }
+        if (step.sum() == 0) {
+          complete = jump == 0;
+          break;
+        }
+        if (jump == 0) {
+          for (const JumpQuery& q : queries) {
+            FragState& st = state_of(q.queried);
+            if (st.moe.other_frag != q.asking) continue;
+            if (q.queried > q.asking) {
+              st.record = false;  // duplicate (larger) half of the pair
+            } else {
+              st.ptr = q.queried;
+            }
+            st.at_root = true;
+          }
+        }
+        // Answers read the pointers as they were before this jump: the
+        // local ones wait for the remote replies.
+        std::vector<JumpReply> local_replies;
+        for (const JumpQuery& q : queries) {
+          const FragState& st = state_of(q.queried);
+          if (q.src == self) {
+            local_replies.push_back(
+                {.asking = q.asking, .ptr = st.ptr, .at_root = st.at_root});
+            continue;
+          }
           Writer w;
-          w.put_varint(asking);
-          w.put_varint(answer(g2, asking));
-          ctx.send(msg.src, kJumpReplyTag, w);
+          w.put_varint(q.asking);
+          w.put_varint(st.ptr);
+          ctx.send(q.src, st.at_root ? kJumpRootTag : kJumpReplyTag, w);
         }
         for (const Message& msg : ctx.exchange()) {
           Reader r(msg.payload);
-          const auto f = static_cast<std::uint32_t>(r.get_varint());
-          const auto next = static_cast<std::uint32_t>(r.get_varint());
-          FragState* st = find_state(f);
-          if (st == nullptr) {
-            throw std::logic_error("mst: jump reply for an untracked fragment");
-          }
-          changed |= (st->ptr != next);
-          st->ptr = next;
+          FragState& st = state_of(static_cast<std::uint32_t>(r.get_varint()));
+          st.ptr = static_cast<std::uint32_t>(r.get_varint());
+          st.at_root = msg.tag == kJumpRootTag;
         }
-        for (const auto& [c, next] : local_updates) {
-          FragState& st = proxy_state[c].second;
-          changed |= (st.ptr != next);
-          st.ptr = next;
+        for (const JumpReply& reply : local_replies) {
+          FragState& st = state_of(reply.asking);
+          st.ptr = reply.ptr;
+          st.at_root = reply.at_root;
         }
-        // Chains are typically short; stop jumping as soon as every
-        // pointer is stable everywhere (one tiny collective per jump).
-        if (!ctx.all_reduce_or(changed)) break;
       }
+      if (complete) break;
 
       // ---- Emit this phase's MST edges at the proxies. ----
-      std::uint64_t added_here = 0;
       for (const auto& [f, st] : proxy_state) {
-        if (st.record && st.moe.valid) {
-          emitted[self].push_back(st.moe.edge);
-          ++added_here;
-        }
+        if (st.record) emitted[self].push_back(st.moe.edge);
       }
 
-      // ---- Step D: home machines learn their vertices' new roots. ----
-      const auto root_at_proxy = [&](std::uint32_t f) {
-        const FragState* st = find_state(f);
-        return st == nullptr ? f : st->ptr;
-      };
-      std::vector<std::uint32_t> root_of(frags.size());
+      // ---- Step D: relabel the owned vertices. ----
       for (std::size_t c = 0; c < frags.size(); ++c) {
-        const std::uint32_t f = frags[c];
-        const std::size_t proxy = proxy_of(f);
-        if (proxy == self) {
-          root_of[c] = root_at_proxy(f);
-        } else {
-          Writer w;
-          w.put_varint(f);
-          ctx.send(proxy, kRootQueryTag, w);
-        }
-      }
-      for (const Message& msg : ctx.exchange()) {
-        Reader r(msg.payload);
-        const auto f = static_cast<std::uint32_t>(r.get_varint());
-        Writer w;
-        w.put_varint(f);
-        w.put_varint(root_at_proxy(f));
-        ctx.send(msg.src, kRootReplyTag, w);
-      }
-      for (const Message& msg : ctx.exchange()) {
-        Reader r(msg.payload);
-        const auto f = static_cast<std::uint32_t>(r.get_varint());
-        const auto it = std::lower_bound(frags.begin(), frags.end(), f);
-        if (it == frags.end() || *it != f) {
-          throw std::logic_error("mst: root reply for an unknown fragment");
-        }
-        root_of[static_cast<std::size_t>(it - frags.begin())] =
-            static_cast<std::uint32_t>(r.get_varint());
+        if (proxy_of(frags[c]) != self) continue;
+        const FragState& st = state_of(frags[c]);
+        learn_root(frags[c], st.ptr, !st.moe.valid);
       }
       for (std::size_t i = 0; i < owned.size(); ++i) {
-        frag[i] = root_of[frag_slot[i]];
+        if (finished[i]) continue;
+        const std::uint32_t c = frag_slot[i];
+        if (root_of[c] == kNoFrag) {
+          throw std::logic_error("mst: no root pushed for a fragment");
+        }
+        frag[i] = root_of[c];
+        finished[i] = frag_done[c];
       }
-
-      // ---- Termination: no fragment found an outgoing edge. ----
-      if (ctx.all_reduce_sum(added_here) == 0) break;
     }
 
     for (std::size_t i = 0; i < owned.size(); ++i) {

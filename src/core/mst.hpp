@@ -16,15 +16,19 @@
 //     spreading per-fragment coordination uniformly over the cluster;
 //   - each phase, home machines push current fragment labels to their
 //     neighbors' machines, locally reduce minimum outgoing edges (MOE)
-//     per fragment, and send one candidate per (machine, fragment) to
-//     the fragment proxy;
+//     per fragment, and send one entry per (machine, fragment) to the
+//     fragment proxy: the local candidate, or an empty registration;
 //   - proxies pick the global MOE (unique under the (weight, endpoints)
 //     total order), break the mutual-MOE 2-cycles, and resolve the new
 //     fragment roots by pointer jumping across proxies;
-//   - home machines query proxies for their vertices' new roots.
+//   - proxies push each new root to the machines that registered the
+//     fragment, riding the jumps' query supersteps.
 // Each of the <= log2(n) phases costs O~((m+n)/k^2) rounds whp, a
 // simplified variant of [51] (which removes the log factors with graph
-// sketches).
+// sketches).  A phase whose pointers settle in J jumps is 2J + 3
+// supersteps: the label push, the candidates, and J query/reply pairs
+// plus one last query superstep.  The collectives the loops need ride
+// those supersteps; the last phase, which finds no outgoing edge, is 3.
 //
 // distributed_components() runs the same machinery with hash-derived
 // (distinct, arbitrary) edge weights and returns component labels.

@@ -127,6 +127,8 @@ PageRankResult run_pagerank(const Digraph& g, const VertexPartition& part,
       ctx.send(machine, tag, w.view());
     };
 
+    const std::size_t interval =
+        std::max<std::size_t>(1, config.termination_check_interval);
     std::size_t iteration = 0;
     while (iteration < max_iters) {
       ++iteration;
@@ -134,6 +136,9 @@ PageRankResult run_pagerank(const Digraph& g, const VertexPartition& part,
       for (auto& t : st.tokens) {
         t -= ctx.rng().binomial(t, config.eps);
       }
+      // Tokens that move this iteration; summed over the machines, the
+      // tokens still walking once they land.
+      std::uint64_t moved = 0;
 
       // Tokens deposited locally this iteration must only become active
       // in the next one; stage them separately.
@@ -152,6 +157,7 @@ PageRankResult run_pagerank(const Digraph& g, const VertexPartition& part,
           st.tokens[i] = 0;  // dangling vertex: walks terminate here
           continue;
         }
+        moved += t;
         const bool light = !heavy_path_enabled || t < k;
         if (light) {
           // Lines 9-16: route each token to a uniform out-neighbor,
@@ -196,8 +202,15 @@ PageRankResult run_pagerank(const Digraph& g, const VertexPartition& part,
         }
       }
 
-      // Superstep boundary: deliver all token messages.
-      for (const Message& msg : ctx.exchange()) {
+      // Superstep boundary: deliver all token messages.  Global
+      // termination (no token left anywhere) is checked every interval
+      // iterations by a collective riding this superstep, so a check
+      // costs k - 1 charged varints per machine, not a superstep.
+      const bool check = iteration % interval == 0 || iteration == max_iters;
+      const Gathered step =
+          check ? ctx.exchange_gather(moved)
+                : Gathered{.messages = ctx.exchange(), .values = {}};
+      for (const Message& msg : step.messages) {
         Reader r(msg.payload);
         if (msg.tag == kLightTag) {
           const auto v = static_cast<Vertex>(r.get_varint());
@@ -217,17 +230,7 @@ PageRankResult run_pagerank(const Digraph& g, const VertexPartition& part,
       for (const auto& [u, count] : local_heavy) {
         spread_heavy(st, local_outs, ctx.rng(), u, count);
       }
-
-      // Global termination check (costs one superstep of k-1 small
-      // messages per machine), amortized over several iterations: an
-      // iteration with no tokens anywhere sends no messages and is free.
-      const std::size_t interval =
-          std::max<std::size_t>(1, config.termination_check_interval);
-      if (iteration % interval == 0 || iteration == max_iters) {
-        std::uint64_t outstanding = 0;
-        for (auto t : st.tokens) outstanding += t;
-        if (ctx.all_reduce_sum(outstanding) == 0) break;
-      }
+      if (check && step.sum() == 0) break;
     }
 
     // Publish estimates: owned index ranges are disjoint across machines.

@@ -40,10 +40,12 @@ struct PageRankConfig {
   /// Safety cap on iterations; 0 means 10 * ceil(ln(n * tokens0) / eps),
   /// far beyond the whp termination point of [20].
   std::size_t max_iterations = 0;
-  /// Global termination (all tokens dead) is detected with an
-  /// all-reduce every this many iterations.  Checking less often saves
-  /// one collective superstep per iteration at the cost of at most
-  /// interval-1 empty (free) trailing iterations.
+  /// Global termination (all tokens dead) is detected every this many
+  /// iterations by a sum that rides the iteration's token exchange: a
+  /// check adds no superstep, but charges each machine k-1 varint
+  /// messages.  Checking less often saves those charges at the cost of
+  /// at most interval-1 trailing iterations with no token left, whose
+  /// supersteps move nothing and charge no rounds.
   std::size_t termination_check_interval = 4;
 };
 

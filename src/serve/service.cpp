@@ -60,6 +60,15 @@ Response ScenarioService::handle_run(const Request& request) {
       errors_.fetch_add(1, std::memory_order_relaxed);
       return error_response("k must be >= 2");
     }
+    if (request.params.k > kMaxMachines) {
+      errors_.fetch_add(1, std::memory_order_relaxed);
+      return error_response("k must be <= " + std::to_string(kMaxMachines));
+    }
+    if (request.params.workers > kMaxWorkers) {
+      errors_.fetch_add(1, std::memory_order_relaxed);
+      return error_response("workers must be <= " +
+                            std::to_string(kMaxWorkers));
+    }
     const DatasetSpec spec = DatasetSpec::parse(request.dataset);
     const std::string dataset_key = DatasetCache::canonical_key(
         spec, workload->input_kind(), request.params.seed);

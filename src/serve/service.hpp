@@ -46,6 +46,13 @@ struct ServiceCounters {
 
 class ScenarioService {
  public:
+  /// Admission caps on a run request.  The engine keeps about 96·k²
+  /// bytes of link state (1.6 GB at k = 4096), and the executor starts
+  /// up to `workers` OS threads; larger requests get an error response
+  /// instead of a run.
+  static constexpr std::size_t kMaxMachines = 4096;
+  static constexpr std::size_t kMaxWorkers = 256;
+
   explicit ScenarioService(ServiceConfig config);
 
   /// Thread-safe.  Run requests may block until an executor slot frees

@@ -223,11 +223,18 @@ std::vector<Message> MachineContext::exchange() {
   return result;
 }
 
-std::vector<std::uint64_t> MachineContext::all_gather(std::uint64_t value) {
+std::uint64_t Gathered::sum() const noexcept {
+  std::uint64_t total = 0;
+  for (const std::uint64_t v : values) total += v;
+  return total;
+}
+
+Gathered MachineContext::exchange_gather(std::uint64_t value) {
   // Charged as a broadcast of the value's varint: one message to every
   // peer, so rounds, bits, link maxima, drops and link traces fold from
-  // the counters exactly as for k - 1 sends.  The value itself travels
-  // through the engine's slot array; no Message is built.
+  // the counters exactly as for k - 1 sends, added to whatever this
+  // machine sent this superstep.  The value itself travels through the
+  // engine's slot array; no Message is built.
   {
     const SendTimer timer(trace_);
     const std::size_t bytes = varint_size(value);
@@ -239,16 +246,22 @@ std::vector<std::uint64_t> MachineContext::all_gather(std::uint64_t value) {
       engine_->collective_[barriers_passed_ & 1];
   const std::uint64_t stamp = barriers_passed_ + 1;
   slots[id_] = {.value = value, .stamp = stamp};
-  // Everything this exchange() returns, stashed leftovers first, goes
-  // back into the stash in order.
-  stashed_ = exchange();
-  std::vector<std::uint64_t> values(k(), 0);
-  for (std::size_t m = 0; m < values.size(); ++m) {
+  Gathered gathered{.messages = exchange(),
+                    .values = std::vector<std::uint64_t>(k(), 0)};
+  for (std::size_t m = 0; m < gathered.values.size(); ++m) {
     // A stale stamp is a machine that finished before this superstep:
     // it contributes 0.
-    if (slots[m].stamp == stamp) values[m] = slots[m].value;
+    if (slots[m].stamp == stamp) gathered.values[m] = slots[m].value;
   }
-  return values;
+  return gathered;
+}
+
+std::vector<std::uint64_t> MachineContext::all_gather(std::uint64_t value) {
+  // Everything the superstep delivers, stashed leftovers first, goes
+  // back into the stash in order.
+  Gathered gathered = exchange_gather(value);
+  stashed_ = std::move(gathered.messages);
+  return std::move(gathered.values);
 }
 
 std::uint64_t MachineContext::all_reduce_sum(std::uint64_t value) {

@@ -45,10 +45,13 @@
 //    link.  broadcast() and the PayloadRef overload are never framed:
 //    they share one immutable PayloadRef across receivers (zero-copy),
 //    which is already cheaper than k-1 copies.  Collectives send no
-//    message at all: all_gather charges each of the machine's k-1
+//    message at all: exchange_gather charges each of the machine's k-1
 //    links one message of the value's varint, as a broadcast would, and
 //    writes the value into the engine's per-machine slot array, which
-//    every machine reads after the barrier.  Accounting is
+//    every machine reads after the barrier.  Those charges fold into
+//    the superstep of whatever else the machine sent, so an algorithm
+//    can agree on a loop bound in the superstep that moves its data
+//    instead of paying a superstep for it.  Accounting is
 //    deliberately *unbatched*: every message is still charged
 //    Message::kHeaderBits + 8 * payload_bytes against its link, framed or
 //    not, so rounds/bits/max_link_bits are byte-identical to an
@@ -159,6 +162,16 @@ class Executor;
 class TraceSession;
 class MachineTraceBuffer;
 
+/// What MachineContext::exchange_gather() returns: the superstep's
+/// messages, as exchange() returns them, and the value every machine
+/// gave the collective, by machine id.
+struct Gathered {
+  std::vector<Message> messages;
+  std::vector<std::uint64_t> values;  ///< 0 for a finished machine
+
+  std::uint64_t sum() const noexcept;
+};
+
 /// Per-machine handle: identity, RNG, messaging, collectives.
 class MachineContext {
  public:
@@ -186,11 +199,19 @@ class MachineContext {
   /// then send order; messages delivered during collectives first).
   std::vector<Message> exchange();
 
-  // ---- Collectives (each costs one superstep) ----
+  // ---- Collectives ----
   // Charged as a broadcast of the value's varint, delivered without
-  // messages.  A machine that has finished contributes 0.  Messages the
-  // collective's exchange delivers are kept, in order, for the next
-  // exchange().
+  // messages.  A machine that has finished contributes 0.
+
+  /// exchange() that also gathers `value` from every machine: the
+  /// collective rides the superstep of the caller's sends, and its k - 1
+  /// varint charges fold into that superstep's link counters (nothing
+  /// at k = 1).  The one collective implementation; the calls below
+  /// are it plus a stash.
+  Gathered exchange_gather(std::uint64_t value);
+
+  // Standalone collectives, a superstep each: the messages that
+  // superstep delivers are kept, in order, for the next exchange().
   std::uint64_t all_reduce_sum(std::uint64_t value);
   std::uint64_t all_reduce_max(std::uint64_t value);
   bool all_reduce_or(bool value);
@@ -371,13 +392,13 @@ class Engine {
 
   std::vector<std::unique_ptr<MachineContext>> contexts_;
 
-  /// One machine's all_gather value, stamped with the superstep it was
+  /// One machine's collective value, stamped with the superstep it was
   /// given in (its barriers passed, plus one).
   struct CollectiveSlot {
     std::uint64_t value = 0;
     std::uint64_t stamp = 0;
   };
-  /// all_gather's values, indexed by machine and double-buffered by
+  /// exchange_gather's values, indexed by machine and double-buffered by
   /// barrier parity like the LinkOuts: each machine writes its own slot
   /// before it arrives and reads all k after the release, and cannot
   /// write that parity again until every live machine has arrived at

@@ -166,50 +166,175 @@ TEST(Engine, FinishedMachineReadsAsZeroInAllGather) {
   }
 }
 
+/// Point-to-point traffic for the collective-superstep tests, at a B
+/// whose framing threshold is 256 bytes: machine src sends
+/// traffic_plan(src, dst) messages to dst, the second as a PayloadRef
+/// and every third one past the framing threshold.
+constexpr std::uint64_t kTrafficBandwidth = 2048;
+
+std::size_t traffic_plan(std::size_t src, std::size_t dst) {
+  return (src + 2 * dst) % 4;
+}
+
+std::vector<std::byte> traffic_payload(std::size_t src, std::size_t i) {
+  const std::size_t len = i % 3 == 2 ? 300 : 1 + i;
+  return std::vector<std::byte>(len, static_cast<std::byte>(src * 16 + i));
+}
+
+void send_traffic(MachineContext& ctx) {
+  for (std::size_t dst = 0; dst < ctx.k(); ++dst) {
+    if (dst == ctx.id()) continue;
+    for (std::size_t i = 0; i < traffic_plan(ctx.id(), dst); ++i) {
+      const auto tag = static_cast<std::uint16_t>(i);
+      if (i == 1) {
+        ctx.send(dst, tag, PayloadRef(traffic_payload(ctx.id(), i)));
+      } else {
+        ctx.send(dst, tag, traffic_payload(ctx.id(), i));
+      }
+    }
+  }
+}
+
+/// Checks that `in` is exactly the traffic addressed to ctx, in
+/// (source, send) order.
+void expect_traffic(const MachineContext& ctx, const std::vector<Message>& in) {
+  std::size_t pos = 0;
+  for (std::size_t src = 0; src < ctx.k(); ++src) {
+    if (src == ctx.id()) continue;
+    for (std::size_t i = 0; i < traffic_plan(src, ctx.id()); ++i) {
+      ASSERT_LT(pos, in.size());
+      const Message& msg = in[pos++];
+      EXPECT_EQ(msg.src, src);
+      EXPECT_EQ(msg.tag, i);
+      EXPECT_TRUE(
+          std::ranges::equal(msg.payload.view(), traffic_payload(src, i)))
+          << "src " << src << " message " << i;
+    }
+  }
+  EXPECT_EQ(pos, in.size());
+}
+
 TEST(Engine, CollectiveSuperstepKeepsPointToPointOrder) {
   // Point-to-point messages sent in a collective superstep come back
   // from the next exchange() in (source, send) order, framed, oversized
   // and PayloadRef sends alike, and survive a second collective.
   constexpr std::size_t kMachines = 5;
-  constexpr std::uint64_t kBandwidth = 2048;  // framing threshold 256
-  const auto plan = [](std::size_t src, std::size_t dst) {
-    return (src + 2 * dst) % 4;  // messages on link src -> dst
-  };
-  const auto payload = [](std::size_t src, std::size_t i) {
-    // Every third message is past the framing threshold.
-    const std::size_t len = i % 3 == 2 ? 300 : 1 + i;
-    return std::vector<std::byte>(len, static_cast<std::byte>(src * 16 + i));
-  };
-  Engine engine(kMachines, {.bandwidth_bits = kBandwidth, .seed = 2});
+  Engine engine(kMachines, {.bandwidth_bits = kTrafficBandwidth, .seed = 2});
   engine.run([&](MachineContext& ctx) {
-    for (std::size_t dst = 0; dst < kMachines; ++dst) {
-      if (dst == ctx.id()) continue;
-      for (std::size_t i = 0; i < plan(ctx.id(), dst); ++i) {
-        const auto tag = static_cast<std::uint16_t>(i);
-        if (i == 1) {
-          ctx.send(dst, tag, PayloadRef(payload(ctx.id(), i)));
-        } else {
-          ctx.send(dst, tag, payload(ctx.id(), i));
-        }
-      }
-    }
+    send_traffic(ctx);
     EXPECT_EQ(ctx.all_reduce_sum(1), kMachines);
     EXPECT_EQ(ctx.all_reduce_max(ctx.id()), kMachines - 1);
-    const auto in = ctx.exchange();
-    std::size_t pos = 0;
-    for (std::size_t src = 0; src < kMachines; ++src) {
-      if (src == ctx.id()) continue;
-      for (std::size_t i = 0; i < plan(src, ctx.id()); ++i) {
-        ASSERT_LT(pos, in.size());
-        const Message& msg = in[pos++];
-        EXPECT_EQ(msg.src, src);
-        EXPECT_EQ(msg.tag, i);
-        EXPECT_TRUE(std::ranges::equal(msg.payload.view(), payload(src, i)))
-            << "src " << src << " message " << i;
-      }
-    }
-    EXPECT_EQ(pos, in.size());
+    expect_traffic(ctx, ctx.exchange());
   });
+}
+
+TEST(Engine, ExchangeGatherReturnsItsSuperstepsMessages) {
+  // The fused collective hands back the messages of its own superstep,
+  // in (source, send) order, with every machine's value, and stashes
+  // nothing for the next exchange().
+  constexpr std::size_t kMachines = 5;
+  for (const std::size_t workers : finish_worker_counts(kMachines)) {
+    SCOPED_TRACE("W=" + std::to_string(workers));
+    Engine engine(kMachines, {.bandwidth_bits = kTrafficBandwidth,
+                              .seed = 2,
+                              .workers = workers});
+    const auto metrics = engine.run([&](MachineContext& ctx) {
+      send_traffic(ctx);
+      const Gathered gathered = ctx.exchange_gather(10 + ctx.id());
+      expect_traffic(ctx, gathered.messages);
+      ASSERT_EQ(gathered.values.size(), kMachines);
+      for (std::size_t i = 0; i < kMachines; ++i) {
+        EXPECT_EQ(gathered.values[i], 10 + i);
+      }
+      EXPECT_EQ(gathered.sum(),
+                10 * kMachines + kMachines * (kMachines - 1) / 2);
+      EXPECT_TRUE(ctx.exchange().empty());
+    });
+    EXPECT_EQ(metrics.supersteps, 2u);
+  }
+}
+
+TEST(Engine, ExchangeGatherChargesSendsPlusOneVarintPerLink) {
+  // One fused superstep costs exactly what the same sends plus one
+  // message of the value's varint to every peer cost in one plain
+  // superstep: per-link bits, message counts, the busiest link and so
+  // the rounds.  Values of one and two varint bytes.
+  constexpr std::size_t kMachines = 5;
+  const auto value = [](std::size_t id) { return std::uint64_t{300} * id; };
+  for (const std::size_t workers : finish_worker_counts(kMachines)) {
+    SCOPED_TRACE("W=" + std::to_string(workers));
+    const EngineConfig config{.bandwidth_bits = kTrafficBandwidth,
+                              .seed = 2,
+                              .record_timeline = true,
+                              .workers = workers};
+    Engine fused_engine(kMachines, config);
+    const Metrics fused = fused_engine.run([&](MachineContext& ctx) {
+      send_traffic(ctx);
+      ctx.exchange_gather(value(ctx.id()));
+    });
+    Engine separate_engine(kMachines, config);
+    const Metrics separate = separate_engine.run([&](MachineContext& ctx) {
+      send_traffic(ctx);
+      Writer w;
+      w.put_varint(value(ctx.id()));
+      for (std::size_t dst = 0; dst < kMachines; ++dst) {
+        if (dst != ctx.id()) ctx.send(dst, 0, w.view());
+      }
+      ctx.exchange();
+    });
+    ASSERT_EQ(fused.timeline.size(), 1u);
+    ASSERT_EQ(separate.timeline.size(), 1u);
+    EXPECT_EQ(fused.timeline[0].messages, separate.timeline[0].messages);
+    EXPECT_EQ(fused.timeline[0].bits, separate.timeline[0].bits);
+    EXPECT_EQ(fused.timeline[0].max_link_bits,
+              separate.timeline[0].max_link_bits);
+    EXPECT_EQ(fused.timeline[0].rounds, separate.timeline[0].rounds);
+    EXPECT_GT(fused.timeline[0].rounds, 1u);
+    EXPECT_EQ(fused.send_bits_per_machine, separate.send_bits_per_machine);
+    EXPECT_EQ(fused.recv_bits_per_machine, separate.recv_bits_per_machine);
+    EXPECT_EQ(fused.supersteps, 1u);
+  }
+}
+
+TEST(Engine, ExchangeGatherFinishedMachineContributesZero) {
+  // Machine 3 returns at once: its value reads 0, the live machines'
+  // messages still arrive, and the charges on their links to machine 3
+  // are dropped.
+  constexpr std::size_t kMachines = 4;
+  for (const std::size_t workers : finish_worker_counts(kMachines)) {
+    SCOPED_TRACE("W=" + std::to_string(workers));
+    Engine engine(kMachines,
+                  {.bandwidth_bits = 1024, .seed = 1, .workers = workers});
+    const auto metrics = engine.run([&](MachineContext& ctx) {
+      if (ctx.id() == 3) return;
+      Writer w;
+      w.put_varint(ctx.id());
+      ctx.send((ctx.id() + 1) % 3, 1, w);
+      const Gathered gathered = ctx.exchange_gather(100 + ctx.id());
+      ASSERT_EQ(gathered.messages.size(), 1u);
+      EXPECT_EQ(gathered.messages[0].src, (ctx.id() + 2) % 3);
+      EXPECT_EQ(gathered.values,
+                (std::vector<std::uint64_t>{100, 101, 102, 0}));
+      EXPECT_EQ(gathered.sum(), 303u);
+    });
+    EXPECT_EQ(metrics.messages, 3u + 3 * 3);
+    EXPECT_EQ(metrics.dropped_messages, 3u);
+    EXPECT_EQ(metrics.supersteps, 1u);
+  }
+}
+
+TEST(Engine, SingleMachineExchangeGatherSendsNothing) {
+  Engine engine(1, {.bandwidth_bits = 64, .seed = 1,
+                    .record_timeline = true});
+  const auto metrics = engine.run([&](MachineContext& ctx) {
+    const Gathered gathered = ctx.exchange_gather(41);
+    EXPECT_TRUE(gathered.messages.empty());
+    EXPECT_EQ(gathered.values, (std::vector<std::uint64_t>{41}));
+  });
+  EXPECT_EQ(metrics.supersteps, 1u);
+  EXPECT_EQ(metrics.messages, 0u);
+  EXPECT_EQ(metrics.bits, 0u);
+  EXPECT_EQ(metrics.rounds, 0u);
 }
 
 TEST(Engine, SingleMachineCollectiveCostsOneSuperstepNoMessages) {

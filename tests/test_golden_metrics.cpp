@@ -213,7 +213,7 @@ TEST(GoldenMetrics, ConnectivityCostsAtMultiHostK) {
        1872, 1, 11},
       {"connectivity", "path:n=2000", 16, 128, 95, 15530, 15371904, 9248, 1,
        19},
-      {"components", "gnp:n=2048,p=0.004", 27, 89, 93, 136209, 6026888, 1704,
+      {"components", "gnp:n=2048,p=0.004", 27, 44, 44, 113048, 4990464, 1704,
        1, 6},
   };
   for (const Cell& cell : cells) {

@@ -32,6 +32,7 @@
 #include <map>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "runtime/dataset.hpp"
@@ -205,6 +206,55 @@ TEST(RoundBounds, MonotoneInKAcrossTheAcceptanceGrid) {
       prev = rounds;
     }
   }
+}
+
+/// One run on the ROADMAP's n = 16384 rounds-table graph at the default
+/// B = 16·⌈log₂ n⌉² = 3136 and seed 1, cached like measured_rounds().
+Metrics table_cell_metrics(const std::string& workload_name, std::size_t k) {
+  using Key = std::pair<std::string, std::size_t>;
+  static std::map<Key, Metrics> cache;
+  const Key key{workload_name, k};
+  const auto it = cache.find(key);
+  if (it != cache.end()) return it->second;
+
+  constexpr std::uint64_t kTableSeed = 1;
+  const Workload* workload = WorkloadRegistry::instance().find(workload_name);
+  if (workload == nullptr) throw std::logic_error("unknown workload");
+  RunParams params;
+  params.k = k;
+  params.bandwidth_bits = 0;  // the default B
+  params.seed = kTableSeed;
+  params.record_timeline = false;
+  params.check = false;  // correctness lives in test_mst_km.cpp
+  const Dataset dataset = load_dataset("gnp:n=16384,p=0.002",
+                                       workload->input_kind(), kTableSeed);
+  const RunResult result = run_workload(*workload, dataset, params);
+  cache[key] = result.metrics;
+  return result.metrics;
+}
+
+TEST(RoundBounds, ProxyBoruvkaBeatsCentralizedBaselineAtK32) {
+  // m ≈ 268k edges.  Measured: components 88 rounds against
+  // connectivity_baseline's 143.  While Borůvka's termination sums,
+  // confirmation jumps and root queries each took a superstep of their
+  // own, components ran 142 rounds here: a tie, not a win.  Pin a win
+  // by at least a quarter.
+  const std::uint64_t components = table_cell_metrics("components", 32).rounds;
+  const std::uint64_t baseline =
+      table_cell_metrics("connectivity_baseline", 32).rounds;
+  EXPECT_LE(4 * components, 3 * baseline)
+      << "components no longer clearly beats the centralized baseline at "
+         "k = 32: "
+      << components << " vs " << baseline << " rounds";
+}
+
+TEST(RoundBounds, ProxyBoruvkaStaysUnderEightySupersteps) {
+  // Both run 7 Borůvka phases here.  Measured: 53 supersteps each (114
+  // and 111 when every control step of a phase was a superstep).  At
+  // k ≥ 64 a superstep costs about one round, so this is the floor the
+  // rounds cannot go under.
+  EXPECT_LE(table_cell_metrics("mst", 32).supersteps, 80u);
+  EXPECT_LE(table_cell_metrics("components", 32).supersteps, 80u);
 }
 
 }  // namespace

@@ -290,6 +290,37 @@ TEST(ScenarioService, ErrorsAreResponsesNotExceptions) {
   EXPECT_EQ(service.counters().errors, 3u);
 }
 
+TEST(ScenarioService, OversizedKAndWorkersGetErrorsNotRuns) {
+  // k sizes the engine's k² link state and workers its OS-thread pool.
+  // Past the caps a request must come back as an error naming the field
+  // and the limit.  Only error responses are exercised here: a run at
+  // these values would ask for thousands of threads.
+  ScenarioService service(ServiceConfig{});
+  const Response huge_k = service.handle(run_request(
+      "components", "path:n=8", ScenarioService::kMaxMachines + 1));
+  EXPECT_FALSE(huge_k.ok);
+  EXPECT_NE(huge_k.error.find("k must be <= 4096"), std::string::npos)
+      << huge_k.error;
+
+  Request many_workers = run_request("components", "path:n=8");
+  many_workers.params.workers = ScenarioService::kMaxWorkers + 1;
+  const Response too_many = service.handle(many_workers);
+  EXPECT_FALSE(too_many.ok);
+  EXPECT_NE(too_many.error.find("workers must be <= 256"), std::string::npos)
+      << too_many.error;
+
+  Request both = run_request("components", "path:n=8", 10000);
+  both.params.workers = 10000;
+  const Response both_over = service.handle(both);
+  EXPECT_FALSE(both_over.ok);
+  EXPECT_NE(both_over.error.find("k must be <= 4096"), std::string::npos)
+      << both_over.error;
+
+  const auto c = service.counters();
+  EXPECT_EQ(c.errors, 3u);
+  EXPECT_EQ(c.runs, 0u);
+}
+
 TEST(ScenarioService, NanProbabilityGetsAnErrorDocument) {
   // A NaN p once spun the runner's dataset build forever; it must come
   // back as an error response that names the key, and the service must
